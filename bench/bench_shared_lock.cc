@@ -18,45 +18,6 @@
 namespace sg {
 namespace {
 
-// The pre-sharding SharedReadLock read path, kept verbatim as a baseline:
-// one spinlock (s_acclck) and one shared counter (s_acccnt) that every
-// reader serializes through, plus the two shared statistic increments the
-// old fast path performed. BM_*ParallelReaders measures the sharded lock
-// against this so the scaling win is recorded in the same JSON stream.
-class SingleCounterReadLock {
- public:
-  void AcquireRead() {
-    acclck_.Lock();
-    // No updater exists in the readers-only benchmarks, so the sleep body
-    // is unreachable, but the original's loop-entry test still runs.
-    while (acccnt_ < 0) {
-    }
-    ++acccnt_;
-    acclck_.Unlock();
-    reads_.fetch_add(1, std::memory_order_relaxed);
-    stat_reads_.fetch_add(1, std::memory_order_relaxed);  // the SG_OBS_INC
-  }
-  void ReleaseRead() {
-    acclck_.Lock();
-    --acccnt_;
-    const bool wake = (acccnt_ == 0 && waitcnt_ > 0);  // original wake test
-    if (wake) {
-      benchmark::DoNotOptimize(&waitcnt_);
-    }
-    acclck_.Unlock();
-  }
-  u64 reads() const { return reads_.load(std::memory_order_relaxed); }
-
- private:
-  Spinlock acclck_;
-  int acccnt_ = 0;
-  unsigned waitcnt_ = 0;
-  std::atomic<u64> reads_{0};
-  static std::atomic<u64> stat_reads_;  // stands in for the global registry counter
-};
-
-std::atomic<u64> SingleCounterReadLock::stat_reads_{0};
-
 void BM_ReadLockUncontended(benchmark::State& state) {
   SharedReadLock lock;
   for (auto _ : state) {
@@ -93,10 +54,9 @@ void BM_ExclusiveSpinlockBaseline(benchmark::State& state) {
 
 BENCHMARK(BM_ExclusiveSpinlockBaseline);
 
-// The §6.2 scaling claim head-on: N concurrent readers, no updater — the
-// page-fault population of a share group between VM-image updates. The
-// sharded lock's readers touch only their own slot; the seed baseline
-// serializes them all through one spinlock/counter line.
+// N concurrent readers, no updater — the page-fault population of a share
+// group between VM-image updates. Every reader passes through the one
+// s_acclck spinlock and access count.
 void BM_ReadLockParallelReaders(benchmark::State& state) {
   static SharedReadLock* lock = nullptr;
   if (state.thread_index() == 0) {
@@ -110,34 +70,12 @@ void BM_ReadLockParallelReaders(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
     state.counters["reads"] = static_cast<double>(lock->reads());
-    state.counters["read_slow"] = static_cast<double>(lock->read_slow());
     delete lock;
     lock = nullptr;
   }
 }
 
 BENCHMARK(BM_ReadLockParallelReaders)->Threads(1)->Threads(2)->Threads(4)->Threads(8)
-    ->UseRealTime();
-
-void BM_SeedSingleCounterParallelReaders(benchmark::State& state) {
-  static SingleCounterReadLock* lock = nullptr;
-  if (state.thread_index() == 0) {
-    lock = new SingleCounterReadLock();
-  }
-  for (auto _ : state) {
-    lock->AcquireRead();
-    benchmark::DoNotOptimize(lock);
-    lock->ReleaseRead();
-  }
-  state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) {
-    state.counters["reads"] = static_cast<double>(lock->reads());
-    delete lock;
-    lock = nullptr;
-  }
-}
-
-BENCHMARK(BM_SeedSingleCounterParallelReaders)->Threads(1)->Threads(2)->Threads(4)->Threads(8)
     ->UseRealTime();
 
 // Parallel readers with an occasional updater, across thread counts. The

@@ -80,7 +80,6 @@ std::vector<obs::GroupStatus> Kernel::SnapshotGroups() {
       const SharedReadLock& lk = owned->space().lock();
       g.lock_name = lk.name();
       g.lock_reads = lk.reads();
-      g.lock_read_slow = lk.read_slow();
       g.lock_updates = lk.updates();
       g.lock_read_waits = lk.read_waits();
       g.lock_update_waits = lk.update_waits();

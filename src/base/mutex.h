@@ -5,9 +5,9 @@
 // a raw std::mutex is invisible to clang's analysis. Kernel structures
 // whose critical sections are plain lock/unlock (no condition-variable
 // wait) use this wrapper instead, making their GUARDED_BY fields
-// machine-checked: the system file table, the obs stats registry, procfs
-// node maps, per-process signal actions. Structures that sleep on a
-// condition variable (Semaphore, wait channels, Barrier) keep std::mutex —
+// machine-checked: the obs stats registry, procfs node maps, per-process
+// signal actions. Structures that sleep on a condition variable
+// (Semaphore, wait channels) keep std::mutex —
 // std::condition_variable demands it — and document their guards in
 // comments instead.
 //

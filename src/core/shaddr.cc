@@ -37,7 +37,6 @@ ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceMana
   // moved to the list of pregions in the shared address block"). Nobody
   // else can see the block yet, so no locking.
   auto& priv = creator.as.private_pregions();
-  creator.as.InvalidatePrivateHint();  // the list is about to lose entries
   {
     UpdateGuard g(space_.lock());
     for (auto it = priv.begin(); it != priv.end();) {

@@ -13,13 +13,7 @@ Result<OpenFile*> FileTable::Alloc(Inode* ip, u32 flags) {
     count_.fetch_sub(1, std::memory_order_acq_rel);
     return Errno::kENFILE;
   }
-  auto f = std::make_unique<OpenFile>(ip, flags);
-  OpenFile* raw = f.get();
-  {
-    Shard& s = ShardFor(raw);
-    MutexGuard l(s.mu);
-    s.owned.emplace(raw, std::move(f));
-  }
+  auto* f = new OpenFile(ip, flags);
   if (ip->type() == InodeType::kPipe) {
     if ((flags & kOpenRead) != 0) {
       ip->pipe()->AddReader();
@@ -28,7 +22,7 @@ Result<OpenFile*> FileTable::Alloc(Inode* ip, u32 flags) {
       ip->pipe()->AddWriter();
     }
   }
-  return raw;
+  return f;
 }
 
 OpenFile* FileTable::Dup(OpenFile* f) {
@@ -48,38 +42,20 @@ void FileTable::Release(OpenFile* f) {
     return;
   }
   // Zero crossing: nobody else holds a reference (every Dup starts from a
-  // live reference), so `f` is exclusively ours — take the shard lock only
-  // to unhook the entry from the ownership map.
+  // live reference), so `f` is exclusively ours to free.
   SG_INJECT_POINT("file.release.last");
-  std::unique_ptr<OpenFile> dying;
-  {
-    Shard& s = ShardFor(f);
-    MutexGuard l(s.mu);
-    auto it = s.owned.find(f);
-    SG_CHECK(it != s.owned.end());
-    dying = std::move(it->second);
-    s.owned.erase(it);
-  }
   count_.fetch_sub(1, std::memory_order_acq_rel);
-  Inode* ip = dying->inode();
+  Inode* ip = f->inode();
   if (ip->type() == InodeType::kPipe) {
-    if (dying->readable()) {
+    if (f->readable()) {
       ip->pipe()->RemoveReader();
     }
-    if (dying->writable()) {
+    if (f->writable()) {
       ip->pipe()->RemoveWriter();
     }
   }
+  delete f;
   inodes_.Iput(ip);
-}
-
-u32 FileTable::RefCount(const OpenFile* f) const {
-  // Diagnostic/test path: look the entry up so a freed pointer reads 0
-  // instead of touching dead memory.
-  const Shard& s = ShardFor(f);
-  MutexGuard l(s.mu);
-  auto it = s.owned.find(f);
-  return it == s.owned.end() ? 0 : it->second->refs_.load(std::memory_order_acquire);
 }
 
 Result<int> FdTable::AllocSlot(OpenFile* f) {

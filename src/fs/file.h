@@ -8,16 +8,10 @@
 #ifndef SRC_FS_FILE_H_
 #define SRC_FS_FILE_H_
 
-#include <array>
 #include <atomic>
-#include <cstdint>
-#include <map>
-#include <memory>
 #include <vector>
 
-#include "base/mutex.h"
 #include "base/result.h"
-#include "base/thread_annotations.h"
 #include "base/types.h"
 #include "fs/inode.h"
 
@@ -69,10 +63,9 @@ class OpenFile {
 // The system-wide open file table. Allocation bumps the inode reference;
 // the final Release() drops it (and closes pipe endpoints).
 //
-// Dup/Release ride the intrusive refcount and touch no lock at all except
-// at the zero crossing; entry OWNERSHIP (the unique_ptrs) lives in
-// pointer-hashed shards so unrelated open/close streams do not serialize
-// on one global mutex + std::map.
+// The table owns no entries: each OpenFile is owned by its references, so
+// Dup/Release are one fetch_add/fetch_sub and the zero crossing deletes
+// the entry. Only the live-entry count is table-wide.
 class FileTable {
  public:
   FileTable(InodeTable& inodes, u32 max_files) : inodes_(inodes), max_files_(max_files) {}
@@ -86,32 +79,18 @@ class FileTable {
   // Takes an extra reference (dup/fork/share-block copy). Lock-free.
   OpenFile* Dup(OpenFile* f);
 
-  // Drops a reference; the entry closes when it reaches zero (only the
-  // zero crossing takes the owning shard's lock, to free the entry).
+  // Drops a reference; the entry closes and is freed when it reaches zero.
   void Release(OpenFile* f);
 
-  u32 RefCount(const OpenFile* f) const;
+  // Reference count of a LIVE entry (diagnostics/tests): a released entry
+  // is freed memory — probe Count() instead.
+  u32 RefCount(const OpenFile* f) const { return f->refs_.load(std::memory_order_acquire); }
   u64 Count() const { return count_.load(std::memory_order_acquire); }
 
  private:
-  static constexpr u32 kShards = 16;
-
-  struct alignas(64) Shard {
-    mutable Mutex mu;
-    std::map<const OpenFile*, std::unique_ptr<OpenFile>> owned SG_GUARDED_BY(mu);
-  };
-
-  Shard& ShardFor(const OpenFile* f) const {
-    // Mix the pointer bits (fibonacci hashing) so allocator address
-    // patterns don't pile onto one shard.
-    const auto h = reinterpret_cast<std::uintptr_t>(f) * 0x9e3779b97f4a7c15ull;
-    return shards_[(h >> 32) % kShards];
-  }
-
   InodeTable& inodes_;
   u32 max_files_;
-  std::atomic<u64> count_{0};  // live entries across all shards
-  mutable std::array<Shard, kShards> shards_;
+  std::atomic<u64> count_{0};  // live entries
 };
 
 // One descriptor slot: the open-file pointer plus the per-descriptor flag

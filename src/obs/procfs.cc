@@ -225,7 +225,6 @@ std::string Procfs::RenderGroup(u64 gid) const {
       out += "lock.name " + g.lock_name + '\n';
     }
     out += "lock.reads " + std::to_string(g.lock_reads) + '\n';
-    out += "lock.read_slow " + std::to_string(g.lock_read_slow) + '\n';
     out += "lock.updates " + std::to_string(g.lock_updates) + '\n';
     out += "lock.read_waits " + std::to_string(g.lock_read_waits) + '\n';
     out += "lock.update_waits " + std::to_string(g.lock_update_waits) + '\n';

@@ -50,7 +50,6 @@ struct GroupStatus {
   std::vector<i32> members;
   std::string lock_name;  // SharedReadLock::name(), empty if unnamed
   u64 lock_reads = 0;
-  u64 lock_read_slow = 0;  // read acquisitions off the sharded fast path
   u64 lock_updates = 0;
   u64 lock_read_waits = 0;
   u64 lock_update_waits = 0;

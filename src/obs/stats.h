@@ -21,7 +21,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -110,22 +109,6 @@ class Stats {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_ SG_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_ SG_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<LatencyHisto>, std::less<>> histos_ SG_GUARDED_BY(mu_);
-};
-
-// Records the lifetime of a scope into a histogram.
-class ScopedTimerNs {
- public:
-  explicit ScopedTimerNs(LatencyHisto& h) : h_(h), t0_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimerNs() {
-    const auto dt = std::chrono::steady_clock::now() - t0_;
-    h_.Record(static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()));
-  }
-  ScopedTimerNs(const ScopedTimerNs&) = delete;
-  ScopedTimerNs& operator=(const ScopedTimerNs&) = delete;
-
- private:
-  LatencyHisto& h_;
-  std::chrono::steady_clock::time_point t0_;
 };
 
 }  // namespace obs

@@ -18,7 +18,7 @@
 //     protected by a Spinlock are short and never call a blocking
 //     primitive" — is checked at the entry of every simulated-CPU-
 //     releasing primitive (Semaphore::P, SharedReadLock acquisition,
-//     BlockOn, Barrier::Arrive) via MaySleep(): calling one with any
+//     BlockOn) via MaySleep(): calling one with any
 //     spinlock-class lock held is a violation even on runs where the fast
 //     path happened not to sleep.
 //

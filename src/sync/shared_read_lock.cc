@@ -27,46 +27,6 @@ lockdep::ClassId SharedLockClass() {
 }
 }  // namespace
 
-namespace {
-// Threads are striped across the slots round-robin at first use; the
-// index is process-global so every lock hashes a given thread to the same
-// slot (release must decrement what acquire incremented). Constant-
-// initialized with a sentinel rather than dynamically initialized so the
-// fast-path access is a plain TLS load with no init-guard check.
-constexpr u32 kSlotUnassigned = ~u32{0};
-thread_local u32 tl_slot = kSlotUnassigned;
-
-u32 AssignSlot() {
-  static std::atomic<u32> next{0};
-  tl_slot = next.fetch_add(1, std::memory_order_relaxed);
-  return tl_slot;
-}
-}  // namespace
-
-u32 SharedReadLock::SlotIndex() {
-  u32 idx = tl_slot;
-  if (idx == kSlotUnassigned) {
-    idx = AssignSlot();
-  }
-  return idx & (kSlots - 1);
-}
-
-i64 SharedReadLock::SumActive() const {
-  i64 sum = 0;
-  for (const Slot& s : slots_) {
-    sum += static_cast<i64>(s.state.load(std::memory_order_seq_cst) & kActiveMask);
-  }
-  return sum;
-}
-
-u64 SharedReadLock::reads() const {
-  u64 sum = 0;
-  for (const Slot& s : slots_) {
-    sum += s.state.load(std::memory_order_relaxed) >> kActiveBits;
-  }
-  return sum;
-}
-
 void SharedReadLock::SetName(std::string_view name) {
   name_ = name;
   const std::string prefix = "sharedlock." + name_ + ".";
@@ -77,22 +37,21 @@ void SharedReadLock::SetName(std::string_view name) {
 }
 
 void SharedReadLock::SleepUntilReleased() {
-  // Caller holds acclck_ and has already incremented waitcnt_.
   ExecutionContext* ctx = CurrentExecutionContext();
   {
     // sgcheck:allow(sleep-in-atomic): wait-channel handoff — chan_m_ must be
-    // held before acclck_ drops or a concurrent ReleaseUpdate's generation
-    // bump is lost; chan_m_ sections are O(1) and take no other lock.
+    // held before acclck_ drops or a concurrent release's generation bump
+    // is lost; chan_m_ sections are O(1) and take no other lock.
     std::unique_lock<std::mutex> cl(chan_m_);
-    const u64 gen = release_gen_;
-    // Release the spinlock only after chan_m_ is held: ReleaseUpdate clears
-    // writer_claimed_ under acclck_ (which we still hold) and must then take
+    const u64 gen = chan_gen_;
+    // Release the spinlock only after chan_m_ is held: a releaser changes
+    // acccnt_ under acclck_ (which we still hold) and must then take
     // chan_m_ to bump the generation, so the wakeup cannot be lost.
     acclck_.Unlock();
     if (ctx != nullptr) {
       ctx->WillBlock();
     }
-    release_cv_.wait(cl, [&] { return release_gen_ != gen; });
+    chan_cv_.wait(cl, [&] { return chan_gen_ != gen; });
   }
   if (ctx != nullptr) {
     ctx->DidWake();  // may block for a CPU; no internal mutex held
@@ -103,71 +62,18 @@ void SharedReadLock::SleepUntilReleased() {
 void SharedReadLock::WakeReleased() {
   {
     std::lock_guard<std::mutex> cl(chan_m_);
-    ++release_gen_;
+    ++chan_gen_;
   }
-  release_cv_.notify_all();
-}
-
-void SharedReadLock::WakeDrain() {
-  {
-    std::lock_guard<std::mutex> cl(chan_m_);
-    ++drain_gen_;
-  }
-  drain_cv_.notify_all();
-}
-
-u64 SharedReadLock::DrainGen() {
-  std::lock_guard<std::mutex> cl(chan_m_);
-  return drain_gen_;
-}
-
-void SharedReadLock::WaitDrainChangedFrom(u64 gen) {
-  ExecutionContext* ctx = CurrentExecutionContext();
-  bool blocked = false;
-  {
-    std::unique_lock<std::mutex> cl(chan_m_);
-    if (drain_gen_ == gen) {
-      blocked = true;
-      if (ctx != nullptr) {
-        ctx->WillBlock();
-      }
-      drain_cv_.wait(cl, [&] { return drain_gen_ != gen; });
-    }
-  }
-  if (blocked && ctx != nullptr) {
-    ctx->DidWake();
-  }
+  chan_cv_.notify_all();
 }
 
 void SharedReadLock::AcquireRead() {
-  // Even the fast path is a violation under a spinlock: whether THIS call
-  // sleeps depends on a racing updater, and the discipline must hold on
-  // every schedule.
+  // A violation under a spinlock even when this call would not sleep:
+  // whether it sleeps depends on a racing updater, and the discipline must
+  // hold on every schedule.
   lockdep::MaySleep("sharedlock.AcquireRead");
-  Slot& slot = slots_[SlotIndex()];
-  // One RMW: raise the active count and (optimistically) the grant
-  // statistic together. The only shared state touched after it is a load
-  // of the (rarely written) intent flag.
-  slot.state.fetch_add(kGrantOne | kActiveOne, std::memory_order_seq_cst);
-  if (!writer_intent_.load(std::memory_order_seq_cst)) {
-    lockdep::OnAcquire(SharedLockClass(), this);
-    return;
-  }
-  // A writer holds the lock or is draining readers: back the increment out
-  // (grant included — this acquisition was not granted) and queue behind
-  // it, so updaters are never starved by a reader stream.
-  slot.state.fetch_sub(kGrantOne | kActiveOne, std::memory_order_seq_cst);
-  SG_INJECT_POINT("sharedlock.read.backout");
-  WakeDrain();  // the writer may be drain-waiting on our transient count
-  AcquireReadSlow(slot);
-  // Recorded after AcquireReadSlow drops acclck_, so lockdep never sees an
-  // acclck -> sharedlock edge (the implementation lock is strictly inside).
-  lockdep::OnAcquire(SharedLockClass(), this);
-}
-
-void SharedReadLock::AcquireReadSlow(Slot& slot) {
   acclck_.Lock();
-  while (writer_claimed_) {
+  while (acccnt_ < 0 || updwant_ != 0) {
     ++waitcnt_;
     read_waits_.fetch_add(1, std::memory_order_relaxed);
     SG_OBS_INC("sharedlock.read_waits");
@@ -177,22 +83,21 @@ void SharedReadLock::AcquireReadSlow(Slot& slot) {
     SleepUntilReleased();
     --waitcnt_;
   }
-  // Enter while holding acclck_: the next writer must take acclck_ to
-  // claim, which orders after our release, so its drain sum sees this
-  // increment.
-  slot.state.fetch_add(kGrantOne | kActiveOne, std::memory_order_seq_cst);
-  read_slow_.fetch_add(1, std::memory_order_relaxed);
+  ++acccnt_;
   acclck_.Unlock();
+  reads_.fetch_add(1, std::memory_order_relaxed);
+  // Recorded after acclck_ drops, so lockdep never sees an acclck ->
+  // sharedlock edge (the implementation lock is strictly inside).
+  lockdep::OnAcquire(SharedLockClass(), this);
 }
 
 void SharedReadLock::ReleaseRead() {
   lockdep::OnRelease(SharedLockClass(), this);
-  Slot& slot = slots_[SlotIndex()];
-  slot.state.fetch_sub(kActiveOne, std::memory_order_seq_cst);
-  if (writer_intent_.load(std::memory_order_seq_cst)) {
-    // Seq_cst pairing mirrors the acquire side: either our decrement lands
-    // before the writer's drain sum, or we see its intent and wake it.
-    WakeDrain();
+  acclck_.Lock();
+  const bool wake = --acccnt_ == 0 && waitcnt_ != 0;
+  acclck_.Unlock();
+  if (wake) {
+    WakeReleased();
   }
 }
 
@@ -204,41 +109,25 @@ void SharedReadLock::AcquireUpdate() {
   const auto t0 = std::chrono::steady_clock::now();
 
   acclck_.Lock();
-  while (writer_claimed_) {
-    ++waitcnt_;
-    update_waits_.fetch_add(1, std::memory_order_relaxed);
-    SG_OBS_INC("sharedlock.update_waits");
-    if (named_update_waits_ != nullptr) {
-      named_update_waits_->Inc();
-    }
-    obs::Trace(obs::TraceKind::kLockUpdateWait);
-    // sgcheck:allow(sleep-in-atomic): handoff — SleepUntilReleased drops
-    // acclck_ before sleeping and re-holds it before returning.
-    SleepUntilReleased();
-    --waitcnt_;
+  if (acccnt_ != 0) {
+    ++updwant_;  // from here on, arriving readers queue behind us
+    do {
+      ++waitcnt_;
+      update_waits_.fetch_add(1, std::memory_order_relaxed);
+      SG_OBS_INC("sharedlock.update_waits");
+      if (named_update_waits_ != nullptr) {
+        named_update_waits_->Inc();
+      }
+      obs::Trace(obs::TraceKind::kLockUpdateWait);
+      // sgcheck:allow(sleep-in-atomic): handoff — SleepUntilReleased drops
+      // acclck_ before sleeping and re-holds it before returning.
+      SleepUntilReleased();
+      --waitcnt_;
+    } while (acccnt_ != 0);
+    --updwant_;
   }
-  writer_claimed_ = true;
-  writer_intent_.store(true, std::memory_order_seq_cst);
+  acccnt_ = -1;
   acclck_.Unlock();
-  SG_INJECT_POINT("sharedlock.update.pre_drain");
-
-  // Drain the in-flight readers. New readers see writer_intent_ and back
-  // out; each release (or back-out) with the flag up bumps the drain
-  // generation, and the generation is snapshotted BEFORE the sum, so a
-  // decrement-to-zero between the sum and the sleep is never lost.
-  for (;;) {
-    const u64 gen = DrainGen();
-    if (SumActive() == 0) {
-      break;
-    }
-    update_waits_.fetch_add(1, std::memory_order_relaxed);
-    SG_OBS_INC("sharedlock.update_waits");
-    if (named_update_waits_ != nullptr) {
-      named_update_waits_->Inc();
-    }
-    obs::Trace(obs::TraceKind::kLockUpdateWait);
-    WaitDrainChangedFrom(gen);
-  }
 
   lockdep::OnAcquire(SharedLockClass(), this);
   updates_.fetch_add(1, std::memory_order_relaxed);
@@ -256,41 +145,13 @@ void SharedReadLock::AcquireUpdate() {
   }
 }
 
-bool SharedReadLock::TryAcquireUpdate() {
-  acclck_.Lock();
-  if (writer_claimed_) {
-    acclck_.Unlock();
-    return false;
-  }
-  writer_claimed_ = true;
-  writer_intent_.store(true, std::memory_order_seq_cst);
-  if (SumActive() != 0) {
-    // Readers in flight: undo. A fast-path reader that backed out because
-    // of our transient intent is spinning on acclck_ (still ours) and will
-    // re-enter as soon as we release — no sleeper to wake.
-    writer_claimed_ = false;
-    writer_intent_.store(false, std::memory_order_seq_cst);
-    acclck_.Unlock();
-    return false;
-  }
-  acclck_.Unlock();
-  lockdep::OnAcquire(SharedLockClass(), this);
-  updates_.fetch_add(1, std::memory_order_relaxed);
-  SG_OBS_INC("sharedlock.updates");
-  if (named_updates_ != nullptr) {
-    named_updates_->Inc();
-  }
-  return true;
-}
-
 void SharedReadLock::ReleaseUpdate() {
   lockdep::OnRelease(SharedLockClass(), this);
   SG_INJECT_POINT("sharedlock.update.release");
   acclck_.Lock();
-  SG_DCHECK(writer_claimed_);
-  writer_claimed_ = false;
-  writer_intent_.store(false, std::memory_order_seq_cst);
-  const bool wake = waitcnt_ > 0;
+  SG_DCHECK(acccnt_ == -1);
+  acccnt_ = 0;
+  const bool wake = waitcnt_ != 0;
   acclck_.Unlock();
   if (wake) {
     WakeReleased();

@@ -100,7 +100,7 @@ Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write) SG_NO_THRE
 
   // Private pregions first (§6.2 scan order — a private page shadows the
   // shared image). No group lock: nothing here is visible to other members.
-  if (Pregion* pr = as.FindPrivateFast(va); pr != nullptr) {
+  if (Pregion* pr = as.FindPrivate(va); pr != nullptr) {
     if (!ProtAllows(*pr, want_write)) {
       return Errno::kEFAULT;
     }
@@ -111,7 +111,6 @@ Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write) SG_NO_THRE
 
   SharedSpace* ss = as.shared();
   if (ss == nullptr) {
-    SG_OBS_INC("vm.lookup_walks");
     return Errno::kEFAULT;
   }
 
@@ -133,10 +132,11 @@ Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write) SG_NO_THRE
     // translate to a freed frame.
     SharedSpace::EpochGuard epoch(*ss);
     const LayoutSnapshot* snap = ss->layout();
-    // sgcheck:allow(sleep-in-atomic): §4h — the lookup reads pregion bounds
-    // via the region mutex, a leaf lock with O(1) holders; a bounded stall
-    // under the epoch pin only delays reclaim, which AwaitQuiescent tolerates.
-    if (Pregion* pr = as.FindSharedFast(*snap, va, s0); pr != nullptr) {
+    // sgcheck:allow(sleep-in-atomic): name collision — sgcheck links calls
+    // by bare name, so `Find` reaches ProcTable::Find's mutex. This Find
+    // walks the immutable snapshot, and Contains loads the region's atomic
+    // page count: nothing on this lookup blocks.
+    if (Pregion* pr = snap->Find(va); pr != nullptr) {
       if (!ProtAllows(*pr, want_write)) {
         st = Errno::kEFAULT;
       } else {
@@ -188,7 +188,7 @@ Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write) SG_NO_THRE
   SG_INJECT_POINT("vm.fault.fallback");
   ReadGuard guard(ss->lock());
   bool shared_pr = false;
-  Pregion* pr = as.FindPregionFast(va, &shared_pr);
+  Pregion* pr = as.FindPregion(va, &shared_pr);
   if (pr == nullptr) {
     return Errno::kEFAULT;
   }

@@ -1,84 +1,19 @@
 #include "vm/address_space.h"
 
-#include "obs/stats.h"
-
 namespace sg {
-
-namespace {
-void SetShared(bool* out_shared, bool v) {
-  if (out_shared != nullptr) {
-    *out_shared = v;
-  }
-}
-}  // namespace
-
-Pregion* AddressSpace::FindPrivateFast(vaddr_t va) {
-  // Hint, then walk. The private list of a sharing member is tiny (PRDA +
-  // perhaps a shadowed region), so the walk is cheap even on a hint miss.
-  if (Pregion* hint = hint_private_.load(std::memory_order_relaxed);
-      hint != nullptr && hint->Contains(va)) {
-    SG_OBS_INC("vm.lookup_hint_hits");
-    return hint;
-  }
-  if (Pregion* pr = FindPrivate(va); pr != nullptr) {
-    SG_OBS_INC("vm.lookup_walks");
-    hint_private_.store(pr, std::memory_order_relaxed);
-    return pr;
-  }
-  return nullptr;
-}
-
-Pregion* AddressSpace::FindSharedFast(const LayoutSnapshot& snap, vaddr_t va, u64 gen) {
-  // Shared hint: one packed word, (gen << 16) | (index + 1). Valid only
-  // while the layout generation it was recorded under still matches the
-  // generation of the snapshot in hand — erasure bumps the seqcount, so a
-  // hint recorded against a retired layout is rejected here. The pointer
-  // itself comes from `snap`, which the caller holds pinned, never from a
-  // value another thread published (see the field comment in the header).
-  const u64 packed = hint_shared_.load(std::memory_order_relaxed);
-  if (packed != 0 && (packed >> 16) == gen) {
-    const size_t idx = (packed & 0xffff) - 1;
-    if (idx < snap.pregions.size() && snap.pregions[idx]->Contains(va)) {
-      SG_OBS_INC("vm.lookup_hint_hits");
-      return snap.pregions[idx];
-    }
-  }
-  for (size_t i = 0; i < snap.pregions.size(); ++i) {
-    if (snap.pregions[i]->Contains(va)) {
-      SG_OBS_INC("vm.lookup_walks");
-      if (i < 0xffff) {
-        hint_shared_.store((gen << 16) | (i + 1), std::memory_order_relaxed);
-      }
-      return snap.pregions[i];
-    }
-  }
-  SG_OBS_INC("vm.lookup_walks");
-  return nullptr;
-}
 
 // Suppressed: holds the shared read lock only when a shared space is
 // attached (see FindByType).
-Pregion* AddressSpace::FindPregionFast(vaddr_t va, bool* out_shared) SG_NO_THREAD_SAFETY_ANALYSIS {
-  // Private side first — so a private page (PRDA, privately shadowed data)
-  // always wins over the shared image.
-  if (Pregion* pr = FindPrivateFast(va); pr != nullptr) {
-    SetShared(out_shared, false);
-    return pr;
+Pregion* AddressSpace::FindPregion(vaddr_t va, bool* out_shared) SG_NO_THREAD_SAFETY_ANALYSIS {
+  Pregion* pr = FindPrivate(va);
+  const bool shared = pr == nullptr && shared_ != nullptr;
+  if (shared) {
+    pr = shared_->Find(va);
   }
-  if (shared_ != nullptr) {
-    // Caller holds the lock, so writers are excluded: the published
-    // snapshot IS the authoritative list and the generation is frozen.
-    if (Pregion* pr = FindSharedFast(*shared_->layout(), va, shared_->generation());
-        pr != nullptr) {
-      SetShared(out_shared, true);
-      return pr;
-    }
-    SetShared(out_shared, false);
-    return nullptr;
+  if (out_shared != nullptr) {
+    *out_shared = shared && pr != nullptr;
   }
-  SG_OBS_INC("vm.lookup_walks");
-  SetShared(out_shared, false);
-  return nullptr;
+  return pr;
 }
 
 bool AddressSpace::DetachPrivate(vaddr_t base) {
@@ -86,7 +21,6 @@ bool AddressSpace::DetachPrivate(vaddr_t base) {
     if ((*it)->base == base) {
       const u64 pages = (*it)->region->pages();
       tlb_.FlushRange(PageOf(base), PageOf(base) + pages);
-      InvalidatePrivateHint();
       private_.erase(it);
       return true;
     }
@@ -95,7 +29,6 @@ bool AddressSpace::DetachPrivate(vaddr_t base) {
 }
 
 void AddressSpace::DetachAllPrivate() {
-  InvalidatePrivateHint();
   private_.clear();
   tlb_.FlushAll();
 }

@@ -38,12 +38,7 @@ class AddressSpace {
   Tlb& tlb() { return tlb_; }
 
   SharedSpace* shared() { return shared_; }
-  void set_shared(SharedSpace* s) {
-    shared_ = s;
-    // A hint recorded against a previous shared space could collide with
-    // the new space's generation numbering; never carry it across.
-    hint_shared_.store(0, std::memory_order_relaxed);
-  }
+  void set_shared(SharedSpace* s) { shared_ = s; }
 
   std::vector<std::unique_ptr<Pregion>>& private_pregions() { return private_; }
 
@@ -60,39 +55,12 @@ class AddressSpace {
     return nullptr;
   }
 
-  // Fault-path lookup with a last-hit hint cache (the IRIX p_pregion /
-  // Linux vmacache idiom): page faults cluster, so the pregion that
-  // resolved the last fault almost always resolves the next one and the
-  // list walks are skipped entirely. Private precedence is preserved — the
-  // private hint and private list are always consulted before anything
-  // shared, so a private page still shadows the shared image (§6.2).
-  // `*out_shared` (may be null) is set when the result lives on the
-  // shared list. The
-  // caller holds the shared read lock if a shared space is attached; the
-  // shared hint revalidates against SharedSpace::generation(), the private
-  // hint against the owner-thread-only private list (see
-  // InvalidatePrivateHint).
-  Pregion* FindPregionFast(vaddr_t va, bool* out_shared);
-
-  // Private half of FindPregionFast: hint, then walk. Owner thread only,
-  // touches nothing shared — the lockless fault path calls this without
-  // any lock or epoch registration.
-  Pregion* FindPrivateFast(vaddr_t va);
-
-  // Shared half for the LOCKLESS fault path: resolves `va` against the
-  // published snapshot `snap`, which the caller loaded at layout
-  // generation `gen` inside an epoch section (see shared_space.h). The
-  // last-hit hint is trusted only when it was recorded under this same
-  // generation — an erased pregion implies a generation bump, so a stale
-  // pointer is rejected before it is dereferenced — and is re-primed at
-  // `gen` on a walk hit. The caller revalidates the seqcount before acting
-  // on a genuine miss.
-  Pregion* FindSharedFast(const LayoutSnapshot& snap, vaddr_t va, u64 gen);
-
-  // Drops the private-list hint. Must be called by every path that erases
-  // a private pregion (detach, exec teardown, share-group formation moving
-  // pregions onto the shared list).
-  void InvalidatePrivateHint() { hint_private_.store(nullptr, std::memory_order_relaxed); }
+  // Finds the pregion containing `va`, private list first — so a private
+  // page (PRDA, privately shadowed data) always wins over the shared image
+  // (§6.2). `*out_shared` (may be null) is set when the result lives on
+  // the shared list. The caller holds the shared lock if a shared space is
+  // attached.
+  Pregion* FindPregion(vaddr_t va, bool* out_shared);
 
   // Finds a pregion by region type, scanning private then shared. The
   // caller holds the shared lock if a shared space is attached — a
@@ -137,26 +105,6 @@ class AddressSpace {
   SharedSpace* shared_ = nullptr;
   std::vector<std::unique_ptr<Pregion>> private_;
   VaAllocator va_;
-
-  // Last-hit lookup hints. Relaxed atomics, not plain pointers: Mach-style
-  // task threads fault concurrently through one AddressSpace, so hints are
-  // primed/read from several host threads at once.
-  //
-  // The private hint is a bare pointer revalidated with Contains(va); the
-  // private list only mutates while no other thread of the process runs,
-  // so a hint that passes Contains is alive.
-  //
-  // The shared hint deliberately does NOT store a pointer: two separate
-  // atomics (pointer + generation) could be observed as a mixed pair under
-  // concurrent primers, pairing a retired pregion with a current
-  // generation. Instead one word packs (generation << 16 | index+1) into
-  // the snapshot's pregion vector; the reader re-derives the pointer from
-  // the immutable snapshot it already holds pinned, so only
-  // self-consistent hints are ever followed and no cross-thread pointer is
-  // dereferenced. Generation mismatch, an out-of-range index, or a
-  // Contains failure all just fall back to the walk.
-  std::atomic<Pregion*> hint_private_{nullptr};
-  std::atomic<u64> hint_shared_{0};  // (gen << 16) | (pregion index + 1)
 };
 
 }  // namespace sg

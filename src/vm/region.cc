@@ -21,9 +21,8 @@ const char* RegionTypeName(RegionType t) {
   return "?";
 }
 
-Region::Region(PhysMem& mem, RegionType type, u64 pages) : mem_(mem), type_(type) {
-  ptes_.resize(pages);
-}
+Region::Region(PhysMem& mem, RegionType type, u64 pages)
+    : mem_(mem), type_(type), ptes_(pages), npages_(pages) {}
 
 std::shared_ptr<Region> Region::Alloc(PhysMem& mem, RegionType type, u64 pages) {
   return std::shared_ptr<Region>(new Region(mem, type, pages));
@@ -189,6 +188,7 @@ Status Region::GrowTo(u64 new_pages) {
     return Errno::kEINVAL;
   }
   ptes_.resize(new_pages);
+  npages_.store(new_pages, std::memory_order_release);
   return Status::Ok();
 }
 
@@ -207,6 +207,7 @@ Status Region::ShrinkTo(u64 new_pages) {
     }
   }
   ptes_.resize(new_pages);
+  npages_.store(new_pages, std::memory_order_release);
   if (charge_ != nullptr && freed != 0) {
     charge_->UnchargePages(freed);
   }

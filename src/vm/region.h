@@ -15,6 +15,7 @@
 #ifndef SRC_VM_REGION_H_
 #define SRC_VM_REGION_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -79,10 +80,9 @@ class Region {
 
   RegionType type() const { return type_; }
 
-  u64 pages() const {
-    std::lock_guard<std::mutex> l(lock_);
-    return ptes_.size();
-  }
+  // Lock-free: Pregion::Contains calls this on every pregion lookup,
+  // including the lockless fault path's walk of the layout snapshot.
+  u64 pages() const { return npages_.load(std::memory_order_acquire); }
 
   // Resolves page `idx` for an access, allocating a zero frame on first
   // touch and breaking copy-on-write when `want_write`. kEFAULT if the index
@@ -159,6 +159,9 @@ class Region {
   RegionType type_;
   mutable std::mutex lock_;
   std::vector<Pte> ptes_;
+  // ptes_.size(), set at construction and stored under lock_ by every
+  // resize (GrowTo, ShrinkTo), so pages() needs no lock.
+  std::atomic<u64> npages_{0};
   u64 clock_hand_ = 0;  // pager sweep position
 
   // Resident-page accountant (guarded by lock_); see SetCharge.

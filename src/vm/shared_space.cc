@@ -24,8 +24,7 @@ SharedSpace::~SharedSpace() {
 
 u32 SharedSpace::EpochSlotIndex() {
   // Sticky per-thread slot, round-robin assigned, so concurrent faulters
-  // land on different cachelines (same scheme as SharedReadLock's sharded
-  // reader slots).
+  // land on different cachelines.
   static std::atomic<u32> next{0};
   thread_local u32 slot = next.fetch_add(1, std::memory_order_relaxed);
   return slot & (kEpochSlots - 1);

@@ -38,6 +38,7 @@
 #include "base/types.h"
 #include "hw/cpu_set.h"
 #include "hw/tlb.h"
+#include "inject/inject.h"
 #include "sync/seqcount.h"
 #include "sync/shared_read_lock.h"
 #include "vm/layout.h"
@@ -88,13 +89,6 @@ class SharedSpace {
   // not straddle.
   SeqCount& layout_seq() { return seq_; }
 
-  // Layout generation: the seqcount value. Only mutations advance it, so a
-  // Pregion* cached by a member (AddressSpace's lookup hint) is still live
-  // iff the generation it was recorded under is unchanged. Stable while
-  // the lock is held (read or update) — writers bump it only inside update
-  // sections — and equal to the TryReadBegin snapshot in lockless sections.
-  u64 generation() const { return seq_.value(); }
-
   // Current published layout. Readers must wrap the load AND every use of
   // the returned pointer in an EpochGuard (or hold the lock, which excludes
   // the writers that retire snapshots).
@@ -109,8 +103,22 @@ class SharedSpace {
   class EpochGuard {
    public:
     explicit EpochGuard(SharedSpace& ss) : ss_(ss), slot_(EpochSlotIndex()) {
-      parity_ = ss_.epoch_parity_.load(std::memory_order_seq_cst) & 1;
-      ss_.epoch_slots_[slot_].n[parity_].fetch_add(1, std::memory_order_seq_cst);
+      // Registration counts only if the parity still reads the same AFTER
+      // the increment. A writer may flip and drain between the load and
+      // the increment; registered on the side it already drained, this
+      // reader would be invisible to the NEXT writer, which drains only
+      // the other side and would free a snapshot loaded below. After a
+      // passing re-check, the next flip follows the increment in the
+      // seq_cst order, so that flip's drain waits for this reader.
+      for (;;) {
+        parity_ = ss_.epoch_parity_.load(std::memory_order_seq_cst) & 1;
+        SG_INJECT_POINT("vm.epoch.enter");
+        ss_.epoch_slots_[slot_].n[parity_].fetch_add(1, std::memory_order_seq_cst);
+        if ((ss_.epoch_parity_.load(std::memory_order_seq_cst) & 1) == parity_) {
+          return;
+        }
+        ss_.epoch_slots_[slot_].n[parity_].fetch_sub(1, std::memory_order_seq_cst);
+      }
     }
     ~EpochGuard() {
       ss_.epoch_slots_[slot_].n[parity_].fetch_sub(1, std::memory_order_seq_cst);

@@ -1,9 +1,8 @@
-// Unit tests for base/: Status/Result, errno names, intrusive list, ids.
+// Unit tests for base/: Status/Result, errno names, ids.
 #include <gtest/gtest.h>
 
 #include "base/errno.h"
 #include "base/id_allocator.h"
-#include "base/intrusive_list.h"
 #include "base/result.h"
 
 namespace sg {
@@ -46,34 +45,6 @@ TEST(ErrnoNames, AllNamed) {
     EXPECT_NE(std::string_view(ErrnoName(e)), "E???");
     EXPECT_NE(std::string_view(ErrnoMessage(e)), "unknown error");
   }
-}
-
-struct Node {
-  int v;
-  ListNode link;
-};
-
-TEST(IntrusiveList, PushEraseIterate) {
-  IntrusiveList<Node, &Node::link> list;
-  EXPECT_TRUE(list.empty());
-  Node a{1, {}}, b{2, {}}, c{3, {}};
-  list.PushBack(&a);
-  list.PushBack(&b);
-  list.PushFront(&c);
-  EXPECT_EQ(list.size(), 3u);
-  EXPECT_TRUE(list.Contains(&b));
-  int sum = 0;
-  for (Node* n : list) {
-    sum = sum * 10 + n->v;
-  }
-  EXPECT_EQ(sum, 312);  // c, a, b
-  list.Erase(&a);
-  EXPECT_FALSE(list.Contains(&a));
-  EXPECT_EQ(list.size(), 2u);
-  EXPECT_EQ(list.PopFront(), &c);
-  EXPECT_EQ(list.PopFront(), &b);
-  EXPECT_EQ(list.PopFront(), nullptr);
-  EXPECT_TRUE(list.empty());
 }
 
 TEST(IdAllocator, LowestFirstAndReuse) {

@@ -25,6 +25,20 @@ struct VfsFixture : ::testing::Test {
                          mode_t umask = 0, Cred cred = {0, 0}) {
     return vfs.Open(root(), root(), cred, path, flags, mode, umask);
   }
+
+  // Opens and closes again, for tests that need only open(2)'s effect
+  // (creation, a permission check).
+  Status Touch(std::string_view path, u32 flags, mode_t mode = 0644, mode_t umask = 0,
+               Cred cred = {0, 0}) {
+    auto f = Open(path, flags, mode, umask, cred);
+    if (f.ok()) {
+      vfs.files().Release(f.value());
+    }
+    return f.status();
+  }
+
+  // The table owns no entries, so a file a test forgets to close leaks.
+  void TearDown() override { EXPECT_EQ(vfs.files().Count(), 0u); }
 };
 
 TEST_F(VfsFixture, CreateWriteReadRoundTrip) {
@@ -46,7 +60,7 @@ TEST_F(VfsFixture, CreateWriteReadRoundTrip) {
 TEST_F(VfsFixture, NameiWalksDirectoriesAndDotDot) {
   ASSERT_TRUE(vfs.Mkdir(root(), root(), root_cred, "/d1", 0755, 0).ok());
   ASSERT_TRUE(vfs.Mkdir(root(), root(), root_cred, "/d1/d2", 0755, 0).ok());
-  ASSERT_TRUE(Open("/d1/d2/f", kOpenWrite | kOpenCreat).ok());
+  ASSERT_TRUE(Touch("/d1/d2/f", kOpenWrite | kOpenCreat).ok());
   auto ip = vfs.Namei(root(), root(), root_cred, "/d1/d2/../d2/./f");
   ASSERT_TRUE(ip.ok());
   vfs.inodes().Iput(ip.value());
@@ -67,7 +81,7 @@ TEST_F(VfsFixture, UmaskAppliesOnCreate) {
 }
 
 TEST_F(VfsFixture, ExclFailsOnExisting) {
-  ASSERT_TRUE(Open("/x", kOpenWrite | kOpenCreat).ok());
+  ASSERT_TRUE(Touch("/x", kOpenWrite | kOpenCreat).ok());
   EXPECT_EQ(Open("/x", kOpenWrite | kOpenCreat | kOpenExcl).error(), Errno::kEEXIST);
 }
 
@@ -78,6 +92,8 @@ TEST_F(VfsFixture, TruncEmptiesFile) {
   auto g = Open("/t", kOpenWrite | kOpenTrunc);
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g.value()->inode()->Size(), 0u);
+  vfs.files().Release(f.value());
+  vfs.files().Release(g.value());
 }
 
 TEST_F(VfsFixture, PermissionChecks) {
@@ -85,15 +101,16 @@ TEST_F(VfsFixture, PermissionChecks) {
   ASSERT_TRUE(f.ok());
   f.value()->inode()->set_owner(10, 20);
   // Owner (uid 10): read ok, write ok.
-  EXPECT_TRUE(Open("/guarded", kOpenRead, 0, 0, Cred{10, 99}).ok());
-  EXPECT_TRUE(Open("/guarded", kOpenWrite, 0, 0, Cred{10, 99}).ok());
+  EXPECT_TRUE(Touch("/guarded", kOpenRead, 0, 0, Cred{10, 99}).ok());
+  EXPECT_TRUE(Touch("/guarded", kOpenWrite, 0, 0, Cred{10, 99}).ok());
   // Group (gid 20): read only.
-  EXPECT_TRUE(Open("/guarded", kOpenRead, 0, 0, Cred{11, 20}).ok());
+  EXPECT_TRUE(Touch("/guarded", kOpenRead, 0, 0, Cred{11, 20}).ok());
   EXPECT_EQ(Open("/guarded", kOpenWrite, 0, 0, Cred{11, 20}).error(), Errno::kEACCES);
   // Other: nothing.
   EXPECT_EQ(Open("/guarded", kOpenRead, 0, 0, Cred{11, 21}).error(), Errno::kEACCES);
   // Root: everything.
-  EXPECT_TRUE(Open("/guarded", kOpenRdwr, 0, 0, Cred{0, 0}).ok());
+  EXPECT_TRUE(Touch("/guarded", kOpenRdwr, 0, 0, Cred{0, 0}).ok());
+  vfs.files().Release(f.value());
 }
 
 TEST_F(VfsFixture, DirectorySearchPermission) {
@@ -101,7 +118,7 @@ TEST_F(VfsFixture, DirectorySearchPermission) {
   auto dir = vfs.Namei(root(), root(), root_cred, "/locked");
   dir.value()->set_owner(10, 10);
   vfs.inodes().Iput(dir.value());
-  ASSERT_TRUE(Open("/locked/f", kOpenWrite | kOpenCreat, 0644, 0, Cred{10, 10}).ok());
+  ASSERT_TRUE(Touch("/locked/f", kOpenWrite | kOpenCreat, 0644, 0, Cred{10, 10}).ok());
   EXPECT_EQ(vfs.Namei(root(), root(), Cred{11, 11}, "/locked/f").error(), Errno::kEACCES);
 }
 
@@ -131,7 +148,7 @@ TEST_F(VfsFixture, LinkUnlinkAndNlink) {
 
 TEST_F(VfsFixture, RmdirSemantics) {
   ASSERT_TRUE(vfs.Mkdir(root(), root(), root_cred, "/dd", 0755, 0).ok());
-  ASSERT_TRUE(Open("/dd/f", kOpenWrite | kOpenCreat).ok());
+  ASSERT_TRUE(Touch("/dd/f", kOpenWrite | kOpenCreat).ok());
   EXPECT_EQ(vfs.Rmdir(root(), root(), root_cred, "/dd").error(), Errno::kENOTEMPTY);
   ASSERT_TRUE(vfs.Unlink(root(), root(), root_cred, "/dd/f").ok());
   EXPECT_TRUE(vfs.Rmdir(root(), root(), root_cred, "/dd").ok());
@@ -154,6 +171,7 @@ TEST_F(VfsFixture, SeekSemantics) {
   vfs.Seek(*f.value(), 14, SeekWhence::kSet).value();
   vfs.WriteFile(*f.value(), s.data(), 1, 1 << 20).value();
   EXPECT_EQ(f.value()->inode()->Size(), 15u);
+  vfs.files().Release(f.value());
 }
 
 TEST_F(VfsFixture, AppendAlwaysWritesAtEnd) {
@@ -164,6 +182,7 @@ TEST_F(VfsFixture, AppendAlwaysWritesAtEnd) {
   vfs.Seek(*f.value(), 0, SeekWhence::kSet).value();
   vfs.WriteFile(*f.value(), b.data(), b.size(), 1 << 20).value();
   EXPECT_EQ(f.value()->inode()->Size(), 4u);
+  vfs.files().Release(f.value());
 }
 
 TEST_F(VfsFixture, UlimitTruncatesWrites) {
@@ -171,6 +190,7 @@ TEST_F(VfsFixture, UlimitTruncatesWrites) {
   std::vector<std::byte> big(100, std::byte{1});
   EXPECT_EQ(vfs.WriteFile(*f.value(), big.data(), big.size(), 60).value(), 60u);
   EXPECT_EQ(vfs.WriteFile(*f.value(), big.data(), big.size(), 60).error(), Errno::kEFBIG);
+  vfs.files().Release(f.value());
 }
 
 TEST_F(VfsFixture, PipeBlockingAndEof) {
@@ -237,6 +257,7 @@ TEST_F(VfsFixture, FdTableAllocLowestFirst) {
   EXPECT_EQ(fds.OpenCount(), 2);
   EXPECT_EQ(fds.Get(5).error(), Errno::kEBADF);
   EXPECT_EQ(fds.Get(-1).error(), Errno::kEBADF);
+  vfs.files().Release(f.value());  // the slots held the one reference
 }
 
 TEST_F(VfsFixture, FileTableRefCounting) {
@@ -248,8 +269,8 @@ TEST_F(VfsFixture, FileTableRefCounting) {
   EXPECT_EQ(vfs.files().RefCount(file), 2u);
   vfs.files().Release(file);
   EXPECT_EQ(vfs.files().RefCount(file), 1u);
-  vfs.files().Release(file);
-  EXPECT_EQ(vfs.files().RefCount(file), 0u);
+  EXPECT_EQ(vfs.files().Count(), 1u);
+  vfs.files().Release(file);  // the zero crossing frees the entry
   EXPECT_EQ(vfs.files().Count(), 0u);
 }
 

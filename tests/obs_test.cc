@@ -156,7 +156,6 @@ TEST(Procfs, StatusDistinguishesMemberFromNonMember) {
     // The group's lock is named at creation, so its per-group counters show
     // both here and (as sharedlock.group<id>.*) in the global registry.
     EXPECT_NE(group_text.find("lock.name group" + gid + "\n"), std::string::npos) << group_text;
-    EXPECT_NE(group_text.find("lock.read_slow "), std::string::npos) << group_text;
     EXPECT_NE(group_text.find("lock.update_wait.count "), std::string::npos) << group_text;
     EXPECT_NE(group_text.find("lock.update_wait.avg_ns "), std::string::npos) << group_text;
     EXPECT_GE(obs::Stats::Global().CounterValue("sharedlock.group" + gid + ".updates"), 1u);

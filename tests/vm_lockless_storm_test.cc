@@ -7,24 +7,33 @@
 // installed, the epoch guard still pinning the updater's quiescence wait),
 // vm.fault.retry (after the undo flush) and vm.fault.fallback (entering
 // the classic ReadGuard path) — plus vm.layout.await_drain in the
-// writer's quiescence wait. A stale-pregion dereference, a stale TLB
-// entry surviving a shootdown, or a leaked frame shows up as a crash,
-// tsan report, lockdep report or failed teardown invariant.
+// writer's quiescence wait and vm.epoch.enter inside an epoch reader's
+// registration (EpochPinSurvivesParityFlip). A stale-pregion dereference,
+// a stale TLB entry surviving a shootdown, or a leaked frame shows up as
+// a crash, tsan report, lockdep report or failed teardown invariant.
 //
 // Reproducing a failure: rerun the printed schedule with
 //
 //   SG_STORM_SEED=<seed> ctest -R VmLocklessStorm.ReplayEnvSeed
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "api/kernel.h"
 #include "api/user_env.h"
 #include "core/share_mask.h"
+#include "hw/cpu_set.h"
 #include "inject/inject.h"
 #include "obs/stats.h"
 #include "sync/lockdep.h"
+#include "sync/seqcount.h"
+#include "sync/shared_read_lock.h"
+#include "vm/shared_space.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define SG_STORM_TSAN 1
@@ -258,6 +267,74 @@ TEST(VmLocklessStorm, SeamsExercised) {
   EXPECT_GT(stats.CounterValue("vm.fault.retries") +
                 stats.CounterValue("vm.fault.fallbacks"),
             slow0);
+}
+
+// EpochGuard parity race. A reader loads the epoch parity, stalls at
+// vm.epoch.enter, and registers only after a writer flipped the parity and
+// drained that side. Unless the guard re-checks the parity, the reader
+// then sits on the side the NEXT writer does not drain, and that writer
+// frees the snapshot the reader holds. Oracle: after each quiescence wait
+// the writer publishes the layout generation below which every snapshot
+// is freed; a reader holding the snapshot of generation s must never see
+// that mark pass s (under asan the stale dereference also aborts).
+TEST(VmLocklessStorm, EpochPinSurvivesParityFlip) {
+  CpuSet cpus(1);
+  SharedSpace ss(cpus);
+  std::atomic<u64> freed_below{0};
+  std::atomic<u64> violations{0};
+  std::atomic<bool> stop{false};
+
+  inject::PlanConfig cfg;
+  cfg.delay_ppm = 1000000;  // stretch every registration window
+  cfg.max_delay_spins = 1u << 16;
+  inject::InjectionPlan plan(0xE90C0001, cfg);
+  {
+    inject::ScopedInjection active(plan);
+    std::thread writer([&] {
+      while (!stop.load()) {
+        UpdateGuard g(ss.lock());
+        {
+          SeqWriter w(ss.layout_seq());
+          ss.Republish();  // retires the snapshot readers may hold
+        }
+        const u64 published = ss.layout_seq().value();
+        ss.AwaitQuiescent();
+        freed_below.store(published);
+      }
+    });
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&] {
+        for (int i = 0; i < 1000; ++i) {
+          SharedSpace::EpochGuard epoch(ss);
+          u64 s0 = 0;
+          if (!ss.layout_seq().TryReadBegin(&s0)) {
+            continue;
+          }
+          const LayoutSnapshot* snap = ss.layout();
+          if (!ss.layout_seq().ReadValidate(s0)) {
+            continue;
+          }
+          // Hold the pin across writer cycles.
+          const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(100);
+          while (std::chrono::steady_clock::now() < until) {
+            if (freed_below.load() > s0) {
+              violations.fetch_add(1);
+              break;
+            }
+            std::this_thread::yield();
+          }
+          EXPECT_TRUE(snap->pregions.empty());  // a freed snapshot aborts here under asan
+        }
+      });
+    }
+    for (auto& t : readers) {
+      t.join();
+    }
+    stop = true;
+    writer.join();
+  }
+  EXPECT_EQ(violations.load(), 0u);
 }
 
 #else  // !SG_INJECT_ENABLED

@@ -4,7 +4,6 @@
 
 #include <cstring>
 
-#include "obs/stats.h"
 #include "vm/access.h"
 #include "vm/address_space.h"
 #include "vm/layout.h"
@@ -218,29 +217,9 @@ TEST(Fault, PrivateShadowsShared) {
   EXPECT_EQ(Load<u8>(as, kDataBase).value(), 0xbbu);
 }
 
-TEST(Lookup, HintCacheShortCircuitsRepeatLookups) {
-  // Fault clustering: after one list walk, repeat lookups in the same
-  // pregion are answered by the last-hit hint (vm.lookup_hint_hits moves,
-  // vm.lookup_walks does not).
-  Fixture f;
-  obs::Stats& stats = obs::Stats::Global();
-  ASSERT_NE(f.as.FindPregionFast(kDataBase, nullptr), nullptr);  // primes the hint
-  const u64 hits0 = stats.CounterValue("vm.lookup_hint_hits");
-  const u64 walks0 = stats.CounterValue("vm.lookup_walks");
-  bool shared = true;
-  Pregion* pr = f.as.FindPregionFast(kDataBase + 8, &shared);
-  ASSERT_NE(pr, nullptr);
-  EXPECT_FALSE(shared);
-  EXPECT_EQ(f.as.FindPregionFast(kDataBase + kPageSize, nullptr), pr);
-  EXPECT_EQ(stats.CounterValue("vm.lookup_hint_hits"), hits0 + 2);
-  EXPECT_EQ(stats.CounterValue("vm.lookup_walks"), walks0);
-}
-
 TEST(Lookup, SharedHintInvalidatedByImageUpdate) {
-  // The shared-side hint is a raw pointer into the group's pregion list; a
-  // VM-image update may erase (destroy) the pregion it points to. The
-  // SharedSpace generation — bumped by every update acquisition — must
-  // reject the stale hint before it is dereferenced.
+  // A detach plus a reattach at the same address: the lookup must find the
+  // NEW pregion, never the destroyed one.
   PhysMem mem(16 * kPageSize);
   CpuSet cpus(1);
   SharedSpace ss(cpus);
@@ -252,43 +231,41 @@ TEST(Lookup, SharedHintInvalidatedByImageUpdate) {
     ss.AttachPregion(std::make_unique<Pregion>(
         Region::Alloc(mem, RegionType::kAnon, 1), kArenaBase, kProtRw));
   }
-  Pregion* first;
   {
     ReadGuard g(ss.lock());
     bool shared = false;
-    first = as.FindPregionFast(kArenaBase, &shared);
+    Pregion* first = as.FindPregion(kArenaBase, &shared);
     ASSERT_NE(first, nullptr);
     EXPECT_TRUE(shared);
-    // Hint primed: the repeat lookup returns the same pregion.
-    EXPECT_EQ(as.FindPregionFast(kArenaBase, nullptr), first);
+    EXPECT_EQ(first->region->pages(), 1u);
   }
-  // Update: destroy that pregion and attach a different one at the same
-  // address. The generation moved, so the stale hint must not be returned.
   {
     UpdateGuard g(ss.lock());
     auto old_pr = ss.DetachPregion(kArenaBase);
     ASSERT_NE(old_pr, nullptr);
-    old_pr.reset();  // destroy it: a stale hint would now dangle
+    old_pr.reset();  // destroyed
     ss.AttachPregion(std::make_unique<Pregion>(
         Region::Alloc(mem, RegionType::kAnon, 2), kArenaBase, kProtRw));
   }
   {
     ReadGuard g(ss.lock());
-    Pregion* second = as.FindPregionFast(kArenaBase, nullptr);
+    Pregion* second = as.FindPregion(kArenaBase, nullptr);
     ASSERT_NE(second, nullptr);
-    EXPECT_EQ(second->region->pages(), 2u);  // the NEW pregion, re-walked
+    EXPECT_EQ(second->region->pages(), 2u);  // the new pregion
   }
 }
 
 TEST(Lookup, PrivateHintDroppedOnDetach) {
+  // After Unmap erases a private pregion, a lookup at its address finds
+  // nothing.
   Fixture f;
   auto a = MapAnon(f.as, kPageSize);
   ASSERT_TRUE(a.ok());
-  Pregion* pr = f.as.FindPregionFast(a.value(), nullptr);
-  ASSERT_NE(pr, nullptr);
-  EXPECT_EQ(f.as.FindPregionFast(a.value(), nullptr), pr);  // hint primed
-  ASSERT_TRUE(Unmap(f.as, a.value()).ok());                 // erases the pregion
-  EXPECT_EQ(f.as.FindPregionFast(a.value(), nullptr), nullptr);
+  bool shared = true;
+  ASSERT_NE(f.as.FindPregion(a.value(), &shared), nullptr);
+  EXPECT_FALSE(shared);
+  ASSERT_TRUE(Unmap(f.as, a.value()).ok());
+  EXPECT_EQ(f.as.FindPregion(a.value(), nullptr), nullptr);
 }
 
 TEST(VmOps, SbrkGrowShrinkRoundTrip) {

@@ -24,7 +24,7 @@ const std::set<std::string> kBlockingRoots = {
     "wait",            "wait_for",      "wait_until",    "sleep_for",
     "sleep_until",     "P",             "Arrive",        "AcquireRead",
     "AcquireUpdate",   "AwaitQuiescent", "WriteBack",
-    "SleepUntilReleased", "WaitDrainChangedFrom", "MutexLock",
+    "SleepUntilReleased", "MutexLock",
 };
 
 bool StartsWith(const std::string& s, const char* pre) {
