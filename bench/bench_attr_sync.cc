@@ -1,11 +1,14 @@
 // E9 — the §6.3 attribute-synchronization machinery itself:
-//   * the kernel-entry fast path (clean bits) vs slow path (dirty bits) —
-//     see also bench_no_penalty for the plain-process baseline;
+//   * the kernel-entry slow path — see bench_no_penalty for the fast path
+//     and the plain-process baseline;
 //   * the cost of UPDATING a shared scalar as group size grows (the update
-//     flags every other sharing member: linear in members);
-//   * descriptor-table publish cost as the table fills (the master copy is
-//     a full-table copy with reference-count traffic);
-//   * the pull cost a member pays on its first entry after being flagged.
+//     bumps the resource's generation and the group's summary: flat in
+//     members);
+//   * descriptor-table publish cost as the table fills (the publish diffs
+//     the member table against the master and copies only changed slots);
+//   * the pull cost a member pays on its first entry after peers' updates,
+//     set up by rewinding the member's generation cache to the state such
+//     updates leave behind.
 #include <chrono>
 
 #include "bench/bench_util.h"
@@ -18,7 +21,7 @@ double Secs(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-// Sleeping members so the group has `members` extra entries to flag.
+// Sleeping members so the group has `members` extra members.
 std::vector<pid_t> SpawnSleepers(Env& env, int members) {
   std::vector<pid_t> pids;
   for (int i = 0; i < members; ++i) {
@@ -55,7 +58,7 @@ void BM_UmaskUpdateVsGroupSize(benchmark::State& state) {
       auto pids = SpawnSleepers(env, members);
       const auto t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < kCalls; ++i) {
-        env.Umask(static_cast<mode_t>(i & 0777));  // update + flag the others
+        env.Umask(static_cast<mode_t>(i & 0777));  // update + bump the generations
       }
       elapsed = Secs(t0);
       ReapSleepers(env, pids);
@@ -84,7 +87,7 @@ void BM_FdPublishVsTableSize(benchmark::State& state) {
       }
       const auto t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < kCalls; ++i) {
-        // Each open+close republishes the table into s_ofile (full copy).
+        // Each open+close publishes one changed slot into s_ofile.
         const int fd = env.Open("/churn", kOpenWrite | kOpenCreat);
         env.Close(fd);
       }
@@ -109,8 +112,13 @@ void BM_PullCostAfterFlag(benchmark::State& state) {
       env.WaitChild();
       const auto t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < kCalls; ++i) {
-        // Flag ourselves dirty on every resource, then pay one entry-sync.
-        env.proc().p_flag.fetch_or(kPfSyncAny & ~kPfSyncFds, std::memory_order_relaxed);
+        // Rewind our cache on every scalar resource, as if peers had updated
+        // each once, then pay one entry-sync.
+        SyncCache& c = env.proc().p_sync;
+        --c.summary;
+        for (SyncRes r : {kResDir, kResIds, kResUmask, kResUlimit}) {
+          --c.gen[r];
+        }
         benchmark::DoNotOptimize(env.UlimitGet());
       }
       elapsed = Secs(t0);
@@ -138,8 +146,10 @@ void BM_FdPullAfterFlag(benchmark::State& state) {
       env.WaitChild();
       const auto t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < kCalls; ++i) {
-        // A full descriptor-table pull: release ours, dup the master's.
-        env.proc().p_flag.fetch_or(kPfSyncFds, std::memory_order_relaxed);
+        // A full descriptor-table pull: a zeroed fds generation (a joiner's
+        // state) reconciles every slot against the master.
+        --env.proc().p_sync.summary;
+        env.proc().p_sync.gen[kResFds] = 0;
         benchmark::DoNotOptimize(env.UlimitGet());
       }
       elapsed = Secs(t0);
@@ -175,12 +185,11 @@ void BM_FdSingleChangeInLargeTable(benchmark::State& state) {
         // Publish side: open+close stamp one slot twice.
         const int fd = env.Open("/churn", kOpenWrite | kOpenCreat);
         env.Close(fd);
-        // Pull side: rewind our sync markers past those two publishes so
-        // the next entry repays the member-side delta pull, exactly what a
-        // sleeping member pays when it wakes.
-        env.proc().p_fd_synced_gen -= 2;
-        env.proc().p_resgen = LaneSet(env.proc().p_resgen, kLaneFds,
-                                      LaneGet(env.proc().p_resgen, kLaneFds) - 2);
+        // Pull side: rewind our cache past those two publishes so the next
+        // entry repays the member-side delta pull, exactly what a sleeping
+        // member pays when it wakes.
+        --env.proc().p_sync.summary;
+        env.proc().p_sync.gen[kResFds] -= 2;
         benchmark::DoNotOptimize(env.UlimitGet());
       }
       elapsed = Secs(t0);
@@ -195,8 +204,9 @@ void BM_FdSingleChangeInLargeTable(benchmark::State& state) {
 BENCHMARK(BM_FdSingleChangeInLargeTable)->Arg(0)->Arg(16)->Arg(48)->UseManualTime();
 
 // Scalar update cost vs group size after the generation rework: the update
-// bumps one lane instead of walking the member chain, so the curve should
-// be flat in `members` (compare BM_UmaskUpdateVsGroupSize in BENCH_4).
+// bumps two generations instead of walking the member chain, so the curve
+// should be flat in `members` (compare BM_UmaskUpdateVsGroupSize in
+// BENCH_4).
 // `members` counts OTHER live members: every point runs inside a share
 // group (a group of one at members=0), so the series isolates scaling from
 // the fixed private-path-vs-group-path delta that

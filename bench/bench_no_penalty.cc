@@ -1,13 +1,14 @@
 // E4 — "normal UNIX processes experience no penalty for the addition of
 // share group support" (§7, and design goal 4 of §6).
 //
-// The share-group hook on the syscall path is one AND of p_flag (§6.3) and
-// one null check of p->shaddr. Measured with manual timing (the group
-// setup is excluded from the clock):
+// The share-group hook on the syscall path is one null check of p->shaddr
+// and one compare of the group's summary generation with the member's
+// cached one (§6.3). Measured with manual timing (the group setup is
+// excluded from the clock):
 //   * syscall latency in a plain process (no group anywhere);
-//   * syscall latency in a group member whose sync bits are clean;
-//   * syscall latency when every call finds a dirty bit (the slow path the
-//     fast test avoids);
+//   * syscall latency in a group member whose cache is current;
+//   * syscall latency when every call finds the cache stale (the slow path
+//     the fast test avoids);
 //   * fork()+wait() latency with zero groups in the system.
 #include <chrono>
 
@@ -44,7 +45,7 @@ void BM_SyscallGroupClean(benchmark::State& state) {
     double elapsed = 0;
     RunSim(k, [&](Env& env) {
       env.Sproc([](Env&, long) {}, PR_SALL);
-      env.WaitChild();  // still a member; bits stay clean from here on
+      env.WaitChild();  // still a member; the cache stays current from here on
       elapsed = TimeCalls(env);
     });
     state.SetIterationTime(elapsed);
@@ -63,8 +64,10 @@ void BM_SyscallGroupDirty(benchmark::State& state) {
       env.WaitChild();
       const auto t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < kCalls; ++i) {
-        // Force the slow path: pretend another member updated the umask.
-        env.proc().p_flag.fetch_or(kPfSyncUmask, std::memory_order_relaxed);
+        // Force the slow path: rewind our cache to the state another
+        // member's umask update leaves behind.
+        --env.proc().p_sync.summary;
+        --env.proc().p_sync.gen[kResUmask];
         benchmark::DoNotOptimize(env.UlimitGet());
       }
       elapsed =

@@ -58,7 +58,6 @@ std::vector<obs::ProcStatus> Kernel::SnapshotProcs() {
     s.uid = q.uid;
     s.gid = q.gid;
     s.shmask = q.p_shmask;
-    s.pflag = q.p_flag.load(std::memory_order_relaxed);
     auto it = groups.find(q.pid);
     s.group = it == groups.end() ? -1 : static_cast<i64>(it->second);
     s.syscalls = q.syscalls.load(std::memory_order_relaxed);
@@ -107,10 +106,11 @@ Kernel::~Kernel() { WaitAll(); }
 void Kernel::SyscallEnter(Proc& p) {
   p.syscalls.fetch_add(1, std::memory_order_relaxed);
   SG_OBS_INC("sys.entries");
-  // §6.3: one AND of the p_flag sync bits; the slow path runs only when
-  // another member changed a shared resource since our last entry.
-  if (p.shaddr != nullptr) {
-    p.shaddr->SyncOnKernelEntry(p);
+  // §6.3: one compare of the block's summary generation with our cached
+  // one; the slow path runs only when some member changed a shared
+  // resource since our last entry.
+  if (ShaddrBlock* b = p.shaddr; b != nullptr) {
+    b->SyncOnKernelEntry(p);
   }
   // §8 PR_BLOCKGROUP: a suspended member parks here until resumed (or a
   // signal arrives — it is delivered right below, like for any entry).

@@ -4,7 +4,7 @@
 // with share groups.
 //
 // Every syscall takes the calling Proc explicitly (the simulated `u.u_procp`)
-// and begins with SyscallEnter: the single p_flag bit-test that
+// and begins with SyscallEnter: the single summary-generation test that
 // resynchronizes shared resources (§6.3) plus signal delivery — the same
 // kernel-entry hook the paper describes.
 #ifndef SRC_API_KERNEL_H_

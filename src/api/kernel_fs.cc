@@ -1,17 +1,13 @@
 // Filesystem syscalls. Descriptor-table mutations follow the §6.3 protocol
-// when the caller shares PR_SFDS: single-thread through s_fupdsema, pull if
-// flagged (the double-update check), modify, publish, release — so "when
-// one of the processes in a group opens a file, the others will see the
-// file as immediately available to them".
-//
-// The bracket is conditional (taken only when the caller shares PR_SFDS),
-// which clang's thread-safety analysis cannot express — the descriptor
-// syscalls below carry SG_NO_THREAD_SAFETY_ANALYSIS, and the runtime
-// lockdep validator covers the bracket ordering instead.
+// when the caller shares PR_SFDS: single-thread through s_fupdsema, pull
+// what changed (the double-update check), modify, publish, release — so
+// "when one of the processes in a group opens a file, the others will see
+// the file as immediately available to them".
 #include <algorithm>
 #include <vector>
 
 #include "api/kernel.h"
+#include "base/check.h"
 #include "base/thread_annotations.h"
 #include "inject/inject.h"
 #include "obs/stats.h"
@@ -43,155 +39,145 @@ bool FdCapAllows(ShaddrBlock* b, u64 delta) {
   return false;
 }
 
-}  // namespace
-
-Result<int> Kernel::Open(Proc& p, std::string_view path, u32 flags, mode_t mode) SG_NO_THREAD_SAFETY_ANALYSIS {
-  SyscallEnter(p);
-  SG_OBS_SYSCALL("open");
-  ShaddrBlock* b = FdBlock(p);
-  if (b != nullptr) {
-    b->LockFileUpdate();
-    b->PullFdsIfFlagged(p);
-  }
-  Result<int> result = Errno::kEINVAL;
-  if (!FdCapAllows(b, 1)) {
-    result = Errno::kEAGAIN;
-  } else {
-    auto f = SG_INJECT_FAULT("open")
-                 ? Result<OpenFile*>(Errno::kENFILE)  // injected: file table full
-                 : vfs_.Open(p.cwd, p.rootdir, CredOf(p), path, flags, mode, p.umask);
-    if (!f.ok()) {
-      result = f.error();
-    } else {
-      auto fd = p.fds.AllocSlot(f.value());
-      if (!fd.ok()) {
-        vfs_.files().Release(f.value());
-        result = fd.error();
-      } else {
-        result = fd.value();
-        if (b != nullptr) {
-          b->PublishFds(p);
-        }
-      }
+// The descriptor-update bracket, scoped: the constructor takes s_fupdsema
+// and pulls, the destructor publishes and releases; a null block (the
+// caller does not share PR_SFDS) makes both no-ops. Publishing is
+// unconditional because PublishFds diffs the tables, so a failed call
+// stamps nothing. Close the scope before SyscallExit: a signal handler run
+// there may take the bracket itself.
+//
+// The bracket is conditional, which clang's thread-safety analysis cannot
+// express, so the guard carries SG_NO_THREAD_SAFETY_ANALYSIS and the
+// runtime lockdep validator covers the bracket ordering instead.
+class FdUpdate {
+ public:
+  FdUpdate(Proc& p, ShaddrBlock* b) SG_NO_THREAD_SAFETY_ANALYSIS : p_(p), b_(b) {
+    if (b_ != nullptr) {
+      b_->LockFileUpdate();
+      b_->PullFds(p_);
     }
   }
-  if (b != nullptr) {
-    b->UnlockFileUpdate();
+  ~FdUpdate() SG_NO_THREAD_SAFETY_ANALYSIS {
+    if (b_ != nullptr) {
+      b_->PublishFds(p_);
+      b_->UnlockFileUpdate();
+    }
+  }
+  FdUpdate(const FdUpdate&) = delete;
+  FdUpdate& operator=(const FdUpdate&) = delete;
+
+  ShaddrBlock* block() const { return b_; }
+
+ private:
+  Proc& p_;
+  ShaddrBlock* const b_;
+};
+
+}  // namespace
+
+Result<int> Kernel::Open(Proc& p, std::string_view path, u32 flags, mode_t mode) {
+  SyscallEnter(p);
+  SG_OBS_SYSCALL("open");
+  Result<int> result = Errno::kEINVAL;
+  {
+    FdUpdate u(p, FdBlock(p));
+    if (!FdCapAllows(u.block(), 1)) {
+      result = Errno::kEAGAIN;
+    } else {
+      auto f = SG_INJECT_FAULT("open")
+                   ? Result<OpenFile*>(Errno::kENFILE)  // injected: file table full
+                   : vfs_.Open(p.cwd, p.rootdir, CredOf(p), path, flags, mode, p.umask);
+      if (!f.ok()) {
+        result = f.error();
+      } else {
+        auto fd = p.fds.AllocSlot(f.value());
+        if (!fd.ok()) {
+          vfs_.files().Release(f.value());
+        }
+        result = fd;
+      }
+    }
   }
   SyscallExit(p);
   return result;
 }
 
-Status Kernel::Close(Proc& p, int fd) SG_NO_THREAD_SAFETY_ANALYSIS {
+Status Kernel::Close(Proc& p, int fd) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("close");
-  ShaddrBlock* b = FdBlock(p);
-  if (b != nullptr) {
-    b->LockFileUpdate();
-    b->PullFdsIfFlagged(p);
-  }
   Status st = Status::Ok();
-  auto f = p.fds.ClearSlot(fd);
-  if (!f.ok()) {
-    st = f.error();
-  } else {
-    vfs_.files().Release(f.value());
-    if (b != nullptr) {
-      b->PublishFds(p);
+  {
+    FdUpdate u(p, FdBlock(p));
+    auto f = p.fds.ClearSlot(fd);
+    if (!f.ok()) {
+      st = f.error();
+    } else {
+      vfs_.files().Release(f.value());
     }
-  }
-  if (b != nullptr) {
-    b->UnlockFileUpdate();
   }
   SyscallExit(p);
   return st;
 }
 
-Result<int> Kernel::Dup(Proc& p, int fd) SG_NO_THREAD_SAFETY_ANALYSIS {
+Result<int> Kernel::Dup(Proc& p, int fd) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("dup");
-  ShaddrBlock* b = FdBlock(p);
-  if (b != nullptr) {
-    b->LockFileUpdate();
-    b->PullFdsIfFlagged(p);
-  }
   Result<int> result = Errno::kEBADF;
-  auto f = p.fds.Get(fd);
-  if (f.ok() && !FdCapAllows(b, 1)) {
-    result = Errno::kEAGAIN;
-  } else if (f.ok()) {
-    auto slot = p.fds.AllocSlot(vfs_.files().Dup(f.value()));
-    if (!slot.ok()) {
-      vfs_.files().Release(f.value());
-      result = slot.error();
-    } else {
-      result = slot.value();
-      if (b != nullptr) {
-        b->PublishFds(p);
+  {
+    FdUpdate u(p, FdBlock(p));
+    auto f = p.fds.Get(fd);
+    if (f.ok() && !FdCapAllows(u.block(), 1)) {
+      result = Errno::kEAGAIN;
+    } else if (f.ok()) {
+      result = p.fds.AllocSlot(vfs_.files().Dup(f.value()));
+      if (!result.ok()) {
+        vfs_.files().Release(f.value());
       }
     }
-  }
-  if (b != nullptr) {
-    b->UnlockFileUpdate();
   }
   SyscallExit(p);
   return result;
 }
 
-Result<int> Kernel::Dup2(Proc& p, int fd, int newfd) SG_NO_THREAD_SAFETY_ANALYSIS {
+Result<int> Kernel::Dup2(Proc& p, int fd, int newfd) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("dup2");
-  ShaddrBlock* b = FdBlock(p);
-  if (b != nullptr) {
-    b->LockFileUpdate();
-    b->PullFdsIfFlagged(p);
-  }
   Result<int> result = Errno::kEBADF;
-  auto f = p.fds.Get(fd);
-  if (f.ok() && p.fds.ValidFd(newfd)) {
-    if (fd == newfd) {
-      result = newfd;
-    } else if (!p.fds.Slot(newfd).used() && !FdCapAllows(b, 1)) {
-      // Only a dup onto an EMPTY slot grows the table; replacing counts 0.
-      result = Errno::kEAGAIN;
-    } else {
-      auto old = p.fds.ClearSlot(newfd);
-      if (old.ok()) {
-        vfs_.files().Release(old.value());
-      }
-      SG_RETURN_IF_ERROR(p.fds.SetSlot(newfd, vfs_.files().Dup(f.value()), false));
-      result = newfd;
-      if (b != nullptr) {
-        b->PublishFds(p);
+  {
+    FdUpdate u(p, FdBlock(p));
+    auto f = p.fds.Get(fd);
+    if (f.ok() && p.fds.ValidFd(newfd)) {
+      if (fd == newfd) {
+        result = newfd;
+      } else if (!p.fds.Slot(newfd).used() && !FdCapAllows(u.block(), 1)) {
+        // Only a dup onto an EMPTY slot grows the table; replacing counts 0.
+        result = Errno::kEAGAIN;
+      } else {
+        auto old = p.fds.ClearSlot(newfd);
+        if (old.ok()) {
+          vfs_.files().Release(old.value());
+        }
+        // newfd was validated above, so the slot store cannot fail.
+        SG_CHECK(p.fds.SetSlot(newfd, vfs_.files().Dup(f.value()), false).ok());
+        result = newfd;
       }
     }
-  }
-  if (b != nullptr) {
-    b->UnlockFileUpdate();
   }
   SyscallExit(p);
   return result;
 }
 
-Status Kernel::SetCloexec(Proc& p, int fd, bool on) SG_NO_THREAD_SAFETY_ANALYSIS {
+Status Kernel::SetCloexec(Proc& p, int fd, bool on) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("setcloexec");
-  ShaddrBlock* b = FdBlock(p);
-  if (b != nullptr) {
-    b->LockFileUpdate();
-    b->PullFdsIfFlagged(p);
-  }
   Status st = Status::Ok();
-  if (!p.fds.ValidFd(fd) || !p.fds.Slot(fd).used()) {
-    st = Errno::kEBADF;
-  } else {
-    p.fds.Slot(fd).close_on_exec = on;
-    if (b != nullptr) {
-      b->PublishFds(p);  // s_pofile mirrors the flag bytes too
+  {
+    FdUpdate u(p, FdBlock(p));  // s_pofile mirrors the flag bytes too
+    if (!p.fds.ValidFd(fd) || !p.fds.Slot(fd).used()) {
+      st = Errno::kEBADF;
+    } else {
+      p.fds.Slot(fd).close_on_exec = on;
     }
-  }
-  if (b != nullptr) {
-    b->UnlockFileUpdate();
   }
   SyscallExit(p);
   return st;
@@ -208,42 +194,34 @@ Result<bool> Kernel::GetCloexec(Proc& p, int fd) {
   return r;
 }
 
-Result<std::pair<int, int>> Kernel::MakePipe(Proc& p) SG_NO_THREAD_SAFETY_ANALYSIS {
+Result<std::pair<int, int>> Kernel::MakePipe(Proc& p) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("makepipe");
-  ShaddrBlock* b = FdBlock(p);
-  if (b != nullptr) {
-    b->LockFileUpdate();
-    b->PullFdsIfFlagged(p);
-  }
   Result<std::pair<int, int>> result = Errno::kENFILE;
-  if (!FdCapAllows(b, 2)) {  // a pipe admits both ends or neither
-    result = Errno::kEAGAIN;
-  } else {
-    auto made = vfs_.MakePipe();
-    if (!made.ok()) {
-      result = made.error();
+  {
+    FdUpdate u(p, FdBlock(p));
+    if (!FdCapAllows(u.block(), 2)) {  // a pipe admits both ends or neither
+      result = Errno::kEAGAIN;
     } else {
-      auto [rd, wr] = made.value();
-      auto rfd = p.fds.AllocSlot(rd);
-      auto wfd = rfd.ok() ? p.fds.AllocSlot(wr) : Result<int>(Errno::kEMFILE);
-      if (!rfd.ok() || !wfd.ok()) {
-        if (rfd.ok()) {
-          p.fds.ClearSlot(rfd.value()).value();
-        }
-        vfs_.files().Release(rd);
-        vfs_.files().Release(wr);
-        result = Errno::kEMFILE;
+      auto made = vfs_.MakePipe();
+      if (!made.ok()) {
+        result = made.error();
       } else {
-        result = std::make_pair(rfd.value(), wfd.value());
-        if (b != nullptr) {
-          b->PublishFds(p);
+        auto [rd, wr] = made.value();
+        auto rfd = p.fds.AllocSlot(rd);
+        auto wfd = rfd.ok() ? p.fds.AllocSlot(wr) : Result<int>(Errno::kEMFILE);
+        if (!rfd.ok() || !wfd.ok()) {
+          if (rfd.ok()) {
+            p.fds.ClearSlot(rfd.value()).value();
+          }
+          vfs_.files().Release(rd);
+          vfs_.files().Release(wr);
+          result = Errno::kEMFILE;
+        } else {
+          result = std::make_pair(rfd.value(), wfd.value());
         }
       }
     }
-  }
-  if (b != nullptr) {
-    b->UnlockFileUpdate();
   }
   SyscallExit(p);
   return result;

@@ -235,13 +235,11 @@ Result<pid_t> Kernel::Sproc(Proc& p, UserFn entry, u32 shmask, long arg) {
 
   // The child's u-area was copied from the parent outside the update locks,
   // so the child is exactly as stale as the parent: seed its generation
-  // caches from the parent's and the ordinary delta sync pulls, on the
+  // cache from the parent's and the ordinary delta sync pulls, on the
   // child's first kernel entry, exactly what the parent itself would have
   // pulled (strict inheritance means the child shares nothing the parent
-  // doesn't). This replaces the old flag-everything seeding, whose first
-  // entry cost a wholesale resync even when nothing had changed.
-  c->p_resgen = p.p_resgen;
-  c->p_fd_synced_gen = p.p_fd_synced_gen;
+  // doesn't).
+  c->p_sync = p.p_sync;
   SG_INJECT_POINT("kernel.sproc.post_attach");
 
   StartProcThread(c, std::move(entry), arg);
@@ -301,24 +299,6 @@ Result<i64> Kernel::Prctl(Proc& p, u32 option, i64 value) {
       }
       if (st.ok()) {
         p.p_shmask &= ~(drop & ~PR_SADDR);
-        // Stale "resynchronize" hints for dropped resources are void now.
-        u32 clear = 0;
-        if ((drop & PR_SFDS) != 0) {
-          clear |= kPfSyncFds;
-        }
-        if ((drop & PR_SDIR) != 0) {
-          clear |= kPfSyncDir;
-        }
-        if ((drop & PR_SID) != 0) {
-          clear |= kPfSyncId;
-        }
-        if ((drop & PR_SUMASK) != 0) {
-          clear |= kPfSyncUmask;
-        }
-        if ((drop & PR_SULIMIT) != 0) {
-          clear |= kPfSyncUlimit;
-        }
-        p.p_flag.fetch_and(~clear, std::memory_order_acq_rel);
         r = static_cast<i64>(p.p_shmask);
       } else {
         r = st.error();
@@ -391,8 +371,8 @@ Result<i64> Kernel::Prctl(Proc& p, u32 option, i64 value) {
         });
       }
       if (join_result.ok()) {
-        // Pull every master copy at this very entry's tail: flag ourselves.
-        p.p_flag.fetch_or(kPfSyncAny, std::memory_order_acq_rel);
+        // TryAddMember zeroed our generation cache: pull every master copy
+        // at this very entry's tail.
         p.shaddr->SyncOnKernelEntry(p);
       }
       r = join_result;

@@ -60,8 +60,8 @@ ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceMana
   space_.lock().SetName("group" + std::to_string(id_));
 
   // Seed the master resource copies, bumping the block's own references.
-  // Slots start at gen 0 (< fd_gen_): nothing is newer than what the
-  // creator, seeded fully synced below, already has.
+  // Slots start at kFirstGen, the fds generation the creator is seeded
+  // with below: nothing is newer than what it already has.
   ofile_.reserve(creator.fds.slots().size());
   int used = 0;
   for (const FdEntry& e : creator.fds.slots()) {
@@ -86,8 +86,8 @@ ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceMana
 
   // The master copies ARE the creator's current values, so the creator is
   // born synchronized (it may carry stale caches from an earlier group).
-  creator.p_resgen = resgen_.load(std::memory_order_relaxed);
-  creator.p_fd_synced_gen = fd_gen_;
+  creator.p_sync.summary = kFirstGen;
+  creator.p_sync.gen.fill(kFirstGen);
 
   plink_ = &creator;
   creator.s_plink = nullptr;
@@ -121,7 +121,7 @@ ShaddrBlock::~ShaddrBlock() {
 
 void ShaddrBlock::AddMember(Proc& child, u32 shmask) {
   // Identity first, link second: once the child hangs off plink_, chain
-  // walkers (FlagOthers, the /proc snapshots) read its mask. The rm node
+  // walkers (ForEachMember, the /proc snapshots) read its mask. The rm node
   // travels with the identity: the member schedules on the group's account
   // from its first instruction. (The caller already charged kMembers.)
   child.rm_node.store(node_, std::memory_order_release);
@@ -148,6 +148,7 @@ bool ShaddrBlock::TryAddMember(Proc& child, u32 shmask) {
   child.rm_node.store(node_, std::memory_order_release);
   child.shaddr = this;
   child.p_shmask = shmask;
+  child.p_sync = SyncCache{};
   SG_INJECT_POINT("shaddr.tryattach.pre_refcnt");
   {
     SpinGuard g(listlock_);
@@ -262,7 +263,7 @@ bool ShaddrBlock::RemoveMember(Proc& p) {
     p.as.tlb().FlushAll();
   }
   // Clear the membership identity BEFORE the unlink (the inverse of the
-  // attach order): from here on FlagOthers skips us and a PR_JOINGROUP
+  // attach order): from here on chain walkers skip us and a PR_JOINGROUP
   // aimed at us reads null instead of a block whose count may be about to
   // hit zero. The unlink and the drop-to-zero stay atomic under listlock_,
   // which is what TryAddMember's refcnt_ == 0 test relies on. The rm node
@@ -272,7 +273,6 @@ bool ShaddrBlock::RemoveMember(Proc& p) {
   p.shaddr = nullptr;
   p.p_shmask = 0;
   p.rm_node.store(nullptr, std::memory_order_release);
-  p.p_flag.fetch_and(~kPfSyncAny, std::memory_order_acq_rel);
   node_->Uncharge(rm::Resource::kMembers, 1);
   SG_INJECT_POINT("shaddr.detach.pre_unlink");
   bool last;
@@ -297,64 +297,70 @@ u32 ShaddrBlock::refcnt() const {
   return refcnt_;
 }
 
-void ShaddrBlock::FlagOthers(Proc& self, u32 resource, u32 bit) {
-  u64 flagged = 0;
-  {
-    SpinGuard g(listlock_);
-    for (Proc* m = plink_; m != nullptr; m = m->s_plink) {
-      if (m != &self && (m->p_shmask & resource) != 0) {
-        m->p_flag.fetch_or(bit, std::memory_order_acq_rel);
-        ++flagged;
-      }
+// ----- generations (DESIGN.md §4f) -----
+
+const ShaddrBlock::SyncRow ShaddrBlock::kSyncTable[kNumSyncRes] = {
+    {kResFds, PR_SFDS, &ShaddrBlock::SyncFds},
+    {kResDir, PR_SDIR, &ShaddrBlock::PullDir},
+    {kResIds, PR_SID, &ShaddrBlock::PullIds},
+    {kResUmask, PR_SUMASK, &ShaddrBlock::PullUmask},
+    {kResUlimit, PR_SULIMIT, &ShaddrBlock::PullUlimit},
+};
+
+void ShaddrBlock::Bump(Proc& p, SyncRes r) {
+  // Only r's lock holder writes gen_[r], so load + store cannot lose a
+  // bump. The release store publishes the master copy written before it;
+  // the summary RMW is ordered after it, so an entry that sees the new
+  // summary (acquire) sees the new gen_[r] too.
+  const u64 gen = gen_[r].load(std::memory_order_relaxed) + 1;
+  gen_[r].store(gen, std::memory_order_release);
+  const u64 before = summary_.fetch_add(1, std::memory_order_acq_rel);
+  p.p_sync.gen[r] = gen;
+  // Advancing past a peer's bump we never pulled would hide it from our
+  // next entry, so the summary follows only when ours was the next bump.
+  if (before == p.p_sync.summary) {
+    p.p_sync.summary = before + 1;
+  }
+}
+
+void ShaddrBlock::SyncOnKernelEntry(Proc& p) {
+  // The fast path keeps §6.3's property ("the collection of bits in p_flag
+  // is checked in a single test ... thus lowering the system call overhead
+  // for most system calls"): one acquire load and compare of the summary.
+  const u64 summary = summary_.load(std::memory_order_acquire);
+  if (summary == p.p_sync.summary) {
+    return;
+  }
+  SG_OBS_INC("core.sync_pulls");
+  // Unshared resources are skipped: their master copies are irrelevant to
+  // us, so PR_UNSHARE has nothing to clear.
+  const u32 mask = p.p_shmask.load(std::memory_order_acquire);
+  u32 pulled = 0;
+  for (const SyncRow& row : kSyncTable) {
+    if ((mask & row.share) != 0 &&
+        gen_[row.res].load(std::memory_order_acquire) != p.p_sync.gen[row.res]) {
+      (this->*row.pull)(p);
+      pulled |= row.share;
     }
   }
-  if (flagged > 0) {
-    SG_OBS_ADD("core.sync_flags_set", flagged);
-  }
-}
-
-// ----- generation plumbing (DESIGN.md §4f) -----
-
-u64 ShaddrBlock::BumpScalarLane(ResLane lane) {
-  // CAS rather than fetch_add: a plain RMW could carry into the neighbor
-  // lane, and the fds lane is stored under a different lock (fupdsema_)
-  // than the scalar lanes (rupdlock_), so lanes do race each other. The
-  // release half publishes the master value written just before the bump;
-  // pullers re-read it under rupdlock_ anyway, so this only makes the
-  // staleness check timely, never load-bearing for the data itself.
-  u64 cur = resgen_.load(std::memory_order_relaxed);
-  u64 next = 0;
-  u64 value = 0;
-  do {
-    value = (LaneGet(cur, lane) + 1) & (LaneLimit(lane) - 1);
-    next = LaneSet(cur, lane, value);
-  } while (!resgen_.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
-                                          std::memory_order_relaxed));
-  SG_OBS_INC("core.scalar_gen_bumps");
-  if (value == 0) {
-    SG_OBS_INC("core.scalar_gen_wraps");
-  }
-  return value;
-}
-
-void ShaddrBlock::StoreFdsLane(u64 fd_gen) {
-  u64 cur = resgen_.load(std::memory_order_relaxed);
-  u64 next = 0;
-  do {
-    next = LaneSet(cur, kLaneFds, fd_gen);
-  } while (!resgen_.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
-                                          std::memory_order_relaxed));
+  // Cache the summary loaded above, never a re-read: a bump that landed
+  // after that load may not have been pulled.
+  p.p_sync.summary = summary;
+  obs::Trace(obs::TraceKind::kResourceSync, pulled);
 }
 
 // ----- file descriptors (under fupdsema_) -----
 
-void ShaddrBlock::PullFdsIfFlagged(Proc& p) {
-  // A set kPfSyncFds bit forces a full-table reconcile: PR_JOINGROUP
-  // joiners carry arbitrary private tables (and an unrelated synced-gen
-  // from a previous group), and the lane-wrap fallback routes members too
-  // far behind for the word compare through here as well.
-  const bool forced = (p.p_flag.load(std::memory_order_acquire) & kPfSyncFds) != 0;
-  if (!forced && p.p_fd_synced_gen == fd_gen_) {
+void ShaddrBlock::SyncFds(Proc& p) {
+  LockFileUpdate();
+  PullFds(p);
+  UnlockFileUpdate();
+}
+
+void ShaddrBlock::PullFds(Proc& p) {
+  const u64 gen = gen_[kResFds].load(std::memory_order_relaxed);
+  u64& synced = p.p_sync.gen[kResFds];
+  if (synced == gen) {
     return;  // current: nothing published since we last synchronized
   }
   SG_INJECT_POINT("shaddr.fds.delta_pull");
@@ -362,7 +368,7 @@ void ShaddrBlock::PullFdsIfFlagged(Proc& p) {
   const auto n = std::min(ofile_.size(), p.fds.slots().size());
   for (u32 i = 0; i < n; ++i) {
     const MasterFdSlot& s = ofile_[i];
-    if (!forced && s.gen <= p.p_fd_synced_gen) {
+    if (s.gen <= synced) {
       continue;  // slot untouched since our last sync
     }
     FdEntry& mine = p.fds.slots()[i];
@@ -380,9 +386,7 @@ void ShaddrBlock::PullFdsIfFlagged(Proc& p) {
     mine = s.e.used() ? FdEntry{vfs_.files().Dup(s.e.file), s.e.close_on_exec} : FdEntry{};
     ++pulled;
   }
-  p.p_fd_synced_gen = fd_gen_;
-  p.p_resgen = LaneSet(p.p_resgen, kLaneFds, fd_gen_);
-  p.p_flag.fetch_and(~kPfSyncFds, std::memory_order_acq_rel);
+  synced = gen;
   if (pulled > 0) {
     SG_OBS_ADD("core.fds.delta_pulled_slots", pulled);
   }
@@ -393,6 +397,7 @@ void ShaddrBlock::PublishFds(Proc& p) {
   // Diff the member's table against the master and retarget only changed
   // slots. fupdsema_ single-threads every reader and writer of ofile_; the
   // /proc snapshot reads the atomic ofile_count_ instead of walking us.
+  const u64 stamp = gen_[kResFds].load(std::memory_order_relaxed) + 1;
   u64 changed = 0;
   int used_delta = 0;
   const auto n = std::min(ofile_.size(), p.fds.slots().size());
@@ -401,9 +406,6 @@ void ShaddrBlock::PublishFds(Proc& p) {
     const FdEntry& mine = p.fds.slots()[i];
     if (s.e.file == mine.file && s.e.close_on_exec == mine.close_on_exec) {
       continue;
-    }
-    if (changed == 0) {
-      ++fd_gen_;  // one fresh stamp per publish that changes anything
     }
     if (s.e.file != mine.file) {
       OpenFile* displaced = s.e.file;  // may be null
@@ -414,37 +416,26 @@ void ShaddrBlock::PublishFds(Proc& p) {
       }
     }
     s.e.close_on_exec = mine.close_on_exec;
-    s.gen = fd_gen_;
+    s.gen = stamp;
     ++changed;
   }
-  if (changed > 0) {
-    if (used_delta != 0) {
-      ofile_count_.fetch_add(used_delta, std::memory_order_acq_rel);
-      // kFiles tracks the master table exactly, and only from inside this
-      // single-threaded bracket. Forced: the cap was already enforced as a
-      // headroom check at the syscall seam (kernel_fs.cc), so the publish
-      // itself must never bounce.
-      if (used_delta > 0) {
-        node_->ChargeForced(rm::Resource::kFiles, static_cast<u64>(used_delta));
-      } else {
-        node_->Uncharge(rm::Resource::kFiles, static_cast<u64>(-used_delta));
-      }
-    }
-    StoreFdsLane(fd_gen_);
-    SG_OBS_ADD("core.fds.delta_published_slots", changed);
-    if (LaneGet(fd_gen_, kLaneFds) == 0) {
-      // The 16-bit lane mirror just wrapped: a member 2^16 publishes
-      // behind could alias the word compare, so fall back to the paper's
-      // O(members) flagging — its forced pull ignores generations.
-      SG_OBS_INC("core.scalar_gen_wraps");
-      FlagOthers(p, PR_SFDS, kPfSyncFds);
+  if (changed == 0) {
+    return;
+  }
+  if (used_delta != 0) {
+    ofile_count_.fetch_add(used_delta, std::memory_order_acq_rel);
+    // kFiles tracks the master table exactly, and only from inside this
+    // single-threaded bracket. Forced: the cap was already enforced as a
+    // headroom check at the syscall seam (kernel_fs.cc), so the publish
+    // itself must never bounce.
+    if (used_delta > 0) {
+      node_->ChargeForced(rm::Resource::kFiles, static_cast<u64>(used_delta));
+    } else {
+      node_->Uncharge(rm::Resource::kFiles, static_cast<u64>(-used_delta));
     }
   }
-  // The publisher is by construction fully synchronized with what it just
-  // published (PullFdsIfFlagged ran first inside this same bracket).
-  p.p_fd_synced_gen = fd_gen_;
-  p.p_resgen = LaneSet(p.p_resgen, kLaneFds, fd_gen_);
-  p.p_flag.fetch_and(~kPfSyncFds, std::memory_order_acq_rel);
+  Bump(p, kResFds);  // stores `stamp`
+  SG_OBS_ADD("core.fds.delta_published_slots", changed);
 }
 
 // ----- scalar resources (under rupdlock_) -----
@@ -456,12 +447,10 @@ void ShaddrBlock::UpdateDir(Proc& p, Inode* new_cwd, Inode* new_root) {
   InodeTable& inodes = vfs_.inodes();
   auto tbl = inodes.Acquire();
   SpinGuard g(rupdlock_);
-  // Double-update check (generation form): refresh from the master before
-  // applying our own change, so a concurrent chroot by another member is
-  // not clobbered by our chdir (and vice versa).
-  if (LaneGet(resgen_.load(std::memory_order_relaxed), kLaneDir) !=
-          LaneGet(p.p_resgen, kLaneDir) ||
-      (p.p_flag.load(std::memory_order_acquire) & kPfSyncDir) != 0) {
+  // Double-update check: refresh from the master before applying our own
+  // change, so a concurrent chroot by another member is not clobbered by
+  // our chdir (and vice versa).
+  if (gen_[kResDir].load(std::memory_order_relaxed) != p.p_sync.gen[kResDir]) {
     inodes.IputLocked(p.cwd);
     inodes.IputLocked(p.rootdir);
     p.cwd = inodes.IgetLocked(cdir_);
@@ -475,18 +464,13 @@ void ShaddrBlock::UpdateDir(Proc& p, Inode* new_cwd, Inode* new_root) {
     inodes.IputLocked(p.rootdir);
     p.rootdir = new_root;
   }
-  // Copy to the master (swap the block's references) and bump the lane —
-  // O(1) in group size; members notice via the word compare at entry.
+  // Copy to the master (swap the block's references) and bump — O(1) in
+  // group size; members notice via the summary compare at entry.
   inodes.IputLocked(cdir_);
   inodes.IputLocked(rdir_);
   cdir_ = inodes.IgetLocked(p.cwd);
   rdir_ = inodes.IgetLocked(p.rootdir);
-  const u64 lane = BumpScalarLane(kLaneDir);
-  p.p_resgen = LaneSet(p.p_resgen, kLaneDir, lane);
-  p.p_flag.fetch_and(~kPfSyncDir, std::memory_order_acq_rel);
-  if (lane == 0) {
-    FlagOthers(p, PR_SDIR, kPfSyncDir);  // wrap fallback (see BumpScalarLane)
-  }
+  Bump(p, kResDir);
 }
 
 void ShaddrBlock::PullDir(Proc& p) {
@@ -498,16 +482,13 @@ void ShaddrBlock::PullDir(Proc& p) {
   inodes.IputLocked(p.rootdir);
   p.cwd = inodes.IgetLocked(cdir_);
   p.rootdir = inodes.IgetLocked(rdir_);
-  p.p_resgen =
-      LaneSet(p.p_resgen, kLaneDir, LaneGet(resgen_.load(std::memory_order_relaxed), kLaneDir));
-  p.p_flag.fetch_and(~kPfSyncDir, std::memory_order_acq_rel);
+  p.p_sync.gen[kResDir] = gen_[kResDir].load(std::memory_order_relaxed);
   SG_OBS_INC("core.scalar_gen_pulls");
 }
 
 void ShaddrBlock::UpdateIds(Proc& p, const uid_t* new_uid, const gid_t* new_gid) {
   SpinGuard g(rupdlock_);
-  if (LaneGet(resgen_.load(std::memory_order_relaxed), kLaneId) != LaneGet(p.p_resgen, kLaneId) ||
-      (p.p_flag.load(std::memory_order_acquire) & kPfSyncId) != 0) {
+  if (gen_[kResIds].load(std::memory_order_relaxed) != p.p_sync.gen[kResIds]) {
     p.uid = uid_;
     p.gid = gid_;
   }
@@ -519,21 +500,14 @@ void ShaddrBlock::UpdateIds(Proc& p, const uid_t* new_uid, const gid_t* new_gid)
   }
   uid_ = p.uid;
   gid_ = p.gid;
-  const u64 lane = BumpScalarLane(kLaneId);
-  p.p_resgen = LaneSet(p.p_resgen, kLaneId, lane);
-  p.p_flag.fetch_and(~kPfSyncId, std::memory_order_acq_rel);
-  if (lane == 0) {
-    FlagOthers(p, PR_SID, kPfSyncId);
-  }
+  Bump(p, kResIds);
 }
 
 void ShaddrBlock::PullIds(Proc& p) {
   SpinGuard g(rupdlock_);
   p.uid = uid_;
   p.gid = gid_;
-  p.p_resgen =
-      LaneSet(p.p_resgen, kLaneId, LaneGet(resgen_.load(std::memory_order_relaxed), kLaneId));
-  p.p_flag.fetch_and(~kPfSyncId, std::memory_order_acq_rel);
+  p.p_sync.gen[kResIds] = gen_[kResIds].load(std::memory_order_relaxed);
   SG_OBS_INC("core.scalar_gen_pulls");
 }
 
@@ -541,20 +515,13 @@ void ShaddrBlock::UpdateUmask(Proc& p, mode_t value) {
   SpinGuard g(rupdlock_);
   p.umask = static_cast<mode_t>(value & kModeAll);
   cmask_ = p.umask;
-  const u64 lane = BumpScalarLane(kLaneUmask);
-  p.p_resgen = LaneSet(p.p_resgen, kLaneUmask, lane);
-  p.p_flag.fetch_and(~kPfSyncUmask, std::memory_order_acq_rel);
-  if (lane == 0) {
-    FlagOthers(p, PR_SUMASK, kPfSyncUmask);
-  }
+  Bump(p, kResUmask);
 }
 
 void ShaddrBlock::PullUmask(Proc& p) {
   SpinGuard g(rupdlock_);
   p.umask = cmask_;
-  p.p_resgen =
-      LaneSet(p.p_resgen, kLaneUmask, LaneGet(resgen_.load(std::memory_order_relaxed), kLaneUmask));
-  p.p_flag.fetch_and(~kPfSyncUmask, std::memory_order_acq_rel);
+  p.p_sync.gen[kResUmask] = gen_[kResUmask].load(std::memory_order_relaxed);
   SG_OBS_INC("core.scalar_gen_pulls");
 }
 
@@ -562,86 +529,14 @@ void ShaddrBlock::UpdateUlimit(Proc& p, u64 value) {
   SpinGuard g(rupdlock_);
   p.ulimit = value;
   limit_ = value;
-  const u64 lane = BumpScalarLane(kLaneUlimit);
-  p.p_resgen = LaneSet(p.p_resgen, kLaneUlimit, lane);
-  p.p_flag.fetch_and(~kPfSyncUlimit, std::memory_order_acq_rel);
-  if (lane == 0) {
-    FlagOthers(p, PR_SULIMIT, kPfSyncUlimit);
-  }
+  Bump(p, kResUlimit);
 }
 
 void ShaddrBlock::PullUlimit(Proc& p) {
   SpinGuard g(rupdlock_);
   p.ulimit = limit_;
-  p.p_resgen = LaneSet(p.p_resgen, kLaneUlimit,
-                       LaneGet(resgen_.load(std::memory_order_relaxed), kLaneUlimit));
-  p.p_flag.fetch_and(~kPfSyncUlimit, std::memory_order_acq_rel);
+  p.p_sync.gen[kResUlimit] = gen_[kResUlimit].load(std::memory_order_relaxed);
   SG_OBS_INC("core.scalar_gen_pulls");
-}
-
-void ShaddrBlock::SyncOnKernelEntry(Proc& p) {
-  // The fast path keeps §6.3's property ("the collection of bits in p_flag
-  // is checked in a single test ... thus lowering the system call overhead
-  // for most system calls"): one packed-word compare covers every
-  // generation lane, plus the legacy bit AND for the forced-resync paths
-  // (PR_JOINGROUP, lane wrap, signal/teardown users of the bits).
-  const u64 word = resgen_.load(std::memory_order_acquire);
-  const u32 flags = p.p_flag.load(std::memory_order_acquire);
-  if (word == p.p_resgen && (flags & kPfSyncAny) == 0) {
-    return;
-  }
-  SG_OBS_INC("core.sync_pulls");
-  obs::Trace(obs::TraceKind::kResourceSync, flags & kPfSyncAny);
-  const u32 mask = p.p_shmask.load(std::memory_order_acquire);
-  const auto stale = [&](ResLane lane, u32 bit) {
-    return LaneGet(word, lane) != LaneGet(p.p_resgen, lane) || (flags & bit) != 0;
-  };
-  // For a resource this member does NOT share, the master is irrelevant:
-  // adopt the lane (so the word compare recovers, e.g. after PR_UNSHARE)
-  // and drop any stray forced bit.
-  const auto adopt = [&](ResLane lane, u32 bit) {
-    p.p_resgen = LaneSet(p.p_resgen, lane, LaneGet(word, lane));
-    if ((flags & bit) != 0) {
-      p.p_flag.fetch_and(~bit, std::memory_order_acq_rel);
-    }
-  };
-  if (stale(kLaneFds, kPfSyncFds)) {
-    if ((mask & PR_SFDS) != 0) {
-      LockFileUpdate();
-      PullFdsIfFlagged(p);
-      UnlockFileUpdate();
-    } else {
-      adopt(kLaneFds, kPfSyncFds);
-    }
-  }
-  if (stale(kLaneDir, kPfSyncDir)) {
-    if ((mask & PR_SDIR) != 0) {
-      PullDir(p);
-    } else {
-      adopt(kLaneDir, kPfSyncDir);
-    }
-  }
-  if (stale(kLaneId, kPfSyncId)) {
-    if ((mask & PR_SID) != 0) {
-      PullIds(p);
-    } else {
-      adopt(kLaneId, kPfSyncId);
-    }
-  }
-  if (stale(kLaneUmask, kPfSyncUmask)) {
-    if ((mask & PR_SUMASK) != 0) {
-      PullUmask(p);
-    } else {
-      adopt(kLaneUmask, kPfSyncUmask);
-    }
-  }
-  if (stale(kLaneUlimit, kPfSyncUlimit)) {
-    if ((mask & PR_SULIMIT) != 0) {
-      PullUlimit(p);
-    } else {
-      adopt(kLaneUlimit, kPfSyncUlimit);
-    }
-  }
 }
 
 // ----- diagnostics -----

@@ -24,25 +24,23 @@
 //
 // ---- Generation-based resource synchronization (DESIGN.md §4f) ----
 //
-// The paper's p_flag bits answer "did ANYTHING change?"; flagging is
-// O(members) per update and a flagged member resynchronizes wholesale.
-// This block generalizes the "checked in a single test" property to
-// generation counters:
+// §6.3 marks a change by updating "each sharing group member's p_flag
+// word", O(members) per update. This block keeps the "checked in a single
+// test" property with generations instead:
 //
-//   * resgen_ — one packed u64 with a generation lane per shared resource
-//     (fds/dir/id/umask/ulimit). Every update bumps its lane; a member
-//     caches the word it last synced against (Proc::p_resgen), so kernel
-//     entry stays a single word compare and updates stop walking the
-//     member chain (FlagOthers survives only as the lane-wrap fallback
-//     and for forced resyncs: sproc seeding, PR_JOINGROUP, teardown).
-//   * fd_gen_ / MasterFdSlot::gen — the master descriptor table carries a
-//     full-width table generation; each slot is stamped with the
-//     generation of its last change and each member records the table
-//     generation its own fd table reflects (Proc::p_fd_synced_gen).
-//     PublishFds diffs the member table against the master and touches
-//     only changed slots; PullFdsIfFlagged copies only slots stamped
-//     newer than the member's last sync — a 1-fd open(2) costs O(changed)
-//     refcount round-trips per member instead of O(kMaxFds).
+//   * gen_[r] — one full-width generation per shared resource (SyncRes:
+//     fds/dir/ids/umask/ulimit), bumped by every update of r, and
+//     summary_, bumped after every per-resource bump. A member caches the
+//     values it last synced against (Proc::p_sync), so kernel entry is one
+//     summary compare and an update never walks the member chain.
+//   * MasterFdSlot::gen — each master descriptor slot is stamped with the
+//     fds generation of its last change. PublishFds diffs the member table
+//     against the master and touches only changed slots; PullFds copies
+//     only slots stamped newer than the member's cached fds generation.
+//
+// Every generation and slot stamp starts at 1, so a zeroed SyncCache is
+// stale on every resource and every slot: that is how PR_JOINGROUP forces
+// a joiner's full resync.
 #ifndef SRC_CORE_SHADDR_H_
 #define SRC_CORE_SHADDR_H_
 
@@ -65,34 +63,14 @@
 
 namespace sg {
 
-// Lanes of the packed resource-generation word. The fds lane mirrors the
-// low bits of the full-width fd_gen_; the scalar lanes are free-running
-// modular counters. Lane widths bound how far a member may lag before the
-// word compare could alias (2^bits updates); the updater closes that hole
-// by falling back to a FlagOthers walk whenever a lane wraps to 0, so the
-// p_flag bit forces the pull no matter what the word compare says.
-struct ResLane {
-  u32 shift;
-  u32 bits;
-};
-inline constexpr ResLane kLaneFds{0, 16};
-inline constexpr ResLane kLaneDir{16, 12};
-inline constexpr ResLane kLaneId{28, 12};
-inline constexpr ResLane kLaneUmask{40, 12};
-inline constexpr ResLane kLaneUlimit{52, 12};
+// First value of every generation and slot stamp; a zeroed cache is older.
+inline constexpr u64 kFirstGen = 1;
 
-constexpr u64 LaneLimit(ResLane l) { return u64{1} << l.bits; }
-constexpr u64 LaneMask(ResLane l) { return (LaneLimit(l) - 1) << l.shift; }
-constexpr u64 LaneGet(u64 word, ResLane l) { return (word >> l.shift) & (LaneLimit(l) - 1); }
-constexpr u64 LaneSet(u64 word, ResLane l, u64 v) {
-  return (word & ~LaneMask(l)) | ((v & (LaneLimit(l) - 1)) << l.shift);
-}
-
-// One master descriptor-table slot: the entry plus the fd_gen_ value of
-// its last change (0 = never touched since the block was created).
+// One master descriptor-table slot: the entry plus the fds generation of
+// its last change.
 struct MasterFdSlot {
   FdEntry e;
-  u64 gen = 0;
+  u64 gen = kFirstGen;
 };
 
 class ShaddrBlock {
@@ -134,14 +112,15 @@ class ShaddrBlock {
   // ----- member chain (s_plink/s_refcnt/s_listlock) -----
   // Links `child` with its (already strict-inheritance-masked) share mask.
   // If PR_SADDR is set the child's address space joins the shared image.
-  // The caller seeds the child's p_resgen/p_fd_synced_gen from its own
-  // (the child's u-area is a copy of the caller's, so it is exactly as
-  // stale as the caller).
+  // The caller seeds the child's p_sync from its own (the child's u-area
+  // is a copy of the caller's, so it is exactly as stale as the caller).
   void AddMember(Proc& child, u32 shmask);
 
   // Like AddMember, but fails (returns false) if the group is already
   // draining (refcnt 0, block about to be destroyed). Used by the dynamic
   // PR_JOINGROUP extension, where the joiner races the last member's exit.
+  // The joiner's private copies are unrelated to the group's, so its
+  // p_sync is zeroed before the link: its next entry pulls everything.
   bool TryAddMember(Proc& child, u32 shmask);
 
   // Unlinks `p` (exit(2) or exec(2)). Removes the member's stack from the
@@ -178,20 +157,20 @@ class ShaddrBlock {
   // modified, a copy is made in the shared address block, each sharing
   // group member's p_flag word is updated, and the lock is released" —
   // except that "each member's p_flag is updated" is now "the resource's
-  // generation lane is bumped": O(1) in group size. The double-update
-  // check survives unchanged: after acquiring the lock the updater first
-  // synchronizes its own stale copy, then applies its change):
+  // generation and the summary are bumped": O(1) in group size. The
+  // double-update check survives unchanged: after acquiring the lock the
+  // updater first synchronizes its own stale copy, then applies its change):
   //
   //   lock -> pull-if-stale -> apply caller's change -> copy to master ->
-  //   bump the resource's generation lane -> unlock.
+  //   store gen_[r] (release) -> bump summary_ -> unlock.
   //
   // File-descriptor updates are single-threaded by fupdsema_ (s_fupdsema)
   // and bracket a whole open/close/dup in the syscall layer; the small
   // scalar resources complete inside rupdlock_ (s_rupdlock).
 
   // Descriptor-table update bracket. Sequence in the syscall layer:
-  //   LockFileUpdate(); PullFdsIfFlagged(p); <modify p.fds>;
-  //   PublishFds(p); UnlockFileUpdate();
+  //   LockFileUpdate(); PullFds(p); <modify p.fds>; PublishFds(p);
+  //   UnlockFileUpdate();
   void LockFileUpdate() SG_ACQUIRE(fupdsema_) {
     // The bracket is a sleeping acquisition even when TryP wins the fast
     // path, so declare the sleep intent before trying.
@@ -210,12 +189,12 @@ class ShaddrBlock {
     fupdsema_.V();
   }
   // Delta pull: copies only master slots stamped newer than the member's
-  // last-synced generation. A member flagged with kPfSyncFds (forced
-  // resync: PR_JOINGROUP, lane wrap) reconciles every slot instead.
-  void PullFdsIfFlagged(Proc& p) SG_REQUIRES(fupdsema_);
+  // cached fds generation (every slot, for a zeroed cache).
+  void PullFds(Proc& p) SG_REQUIRES(fupdsema_);
   // Delta publish: diffs `p`'s table against the master and touches only
   // changed slots (refcount traffic proportional to the change, not the
-  // table), stamping them with a fresh table generation.
+  // table), stamping them with a fresh fds generation. Publishing an
+  // unchanged table stamps nothing.
   void PublishFds(Proc& p) SG_REQUIRES(fupdsema_);
 
   // Scalar resources; null/unset arguments leave that field as-is.
@@ -226,12 +205,22 @@ class ShaddrBlock {
 
   // Kernel-entry hook. "When a shared process enters the system via a
   // system call, the collection of bits in p_flag is checked in a single
-  // test" — the single test is now the packed-word compare (plus the
-  // legacy bit AND for forced resyncs); pulls whatever lane is stale.
+  // test" — the single test is now the summary compare; on a mismatch one
+  // loop over kSyncTable pulls each shared resource whose generation moved.
   void SyncOnKernelEntry(Proc& p);
 
-  // The block's current packed resource-generation word (tests, /proc).
-  u64 resgen() const { return resgen_.load(std::memory_order_acquire); }
+  // One row of the resource table: which share-mask bit covers the
+  // resource and how a member pulls it from the master copy.
+  struct SyncRow {
+    SyncRes res;
+    u32 share;  // PR_S* bit
+    void (ShaddrBlock::*pull)(Proc&);
+  };
+  static const SyncRow kSyncTable[kNumSyncRes];
+
+  // Current generations (tests, /proc).
+  u64 summary() const { return summary_.load(std::memory_order_acquire); }
+  u64 generation(SyncRes r) const { return gen_[r].load(std::memory_order_acquire); }
 
   // Test/diagnostic accessors for the master copies.
   mode_t cmask() const;
@@ -254,22 +243,15 @@ class ShaddrBlock {
     return id;
   }
 
-  // Bumps `lane` of resgen_ by one (CAS: the fds lane and the scalar lanes
-  // are bumped under different locks, so a plain RMW could carry into a
-  // neighbor lane). Returns the new lane value; 0 means the lane wrapped
-  // and the caller must FlagOthers so a member exactly 2^bits updates
-  // behind cannot alias the word compare.
-  u64 BumpScalarLane(ResLane lane);
-  // Sets the fds lane to the low bits of `fd_gen` (same CAS discipline).
-  void StoreFdsLane(u64 fd_gen);
-
-  // Sets `bit` in every member (except `self`) whose share mask includes
-  // `resource`. O(members): only the wrap fallback and forced-resync
-  // paths use it now.
-  void FlagOthers(Proc& self, u32 resource, u32 bit);
+  // Publishes an update of `r` whose master copy the caller just wrote
+  // under r's lock: stores the next gen_[r] (release), then bumps summary_.
+  // The updater's own copy is current, so its cached gen[r] follows; its
+  // cached summary follows only if no peer's bump came in between.
+  void Bump(Proc& p, SyncRes r);
 
   // Kernel-entry pulls: refresh the member's private copy from the master
-  // and adopt the lane into the member's cached word.
+  // and cache the resource's generation read under the same lock.
+  void SyncFds(Proc& p);  // PullFds inside the fupdsema_ bracket
   void PullDir(Proc& p);
   void PullIds(Proc& p);
   void PullUmask(Proc& p);
@@ -290,19 +272,14 @@ class ShaddrBlock {
   // per slot. Touched only inside the fupdsema_ bracket; the /proc
   // snapshot reads the incremental ofile_count_ instead of walking it.
   std::vector<MasterFdSlot> ofile_ SG_GUARDED_BY(fupdsema_);
-  // Full-width master-table generation; bumped once per publish that
-  // changed anything. Slots are stamped with it; members remember the
-  // value they last synced to (Proc::p_fd_synced_gen).
-  u64 fd_gen_ SG_GUARDED_BY(fupdsema_) = 1;
   std::atomic<int> ofile_count_{0};
 
-  // The packed per-resource generation word (see lane constants above).
-  // Scalar lanes are bumped under rupdlock_, the fds lane under the
-  // fupdsema_ bracket; cross-lane concurrency is resolved by CAS.
-  std::atomic<u64> resgen_{LaneSet(LaneSet(LaneSet(LaneSet(LaneSet(0, kLaneFds, 1), kLaneDir, 1),
-                                                   kLaneId, 1),
-                                           kLaneUmask, 1),
-                                   kLaneUlimit, 1)};
+  // Per-resource generations, indexed by SyncRes: each is written only
+  // under its resource's lock (fupdsema_ for fds, rupdlock_ for the rest)
+  // and read lock-free at kernel entry. summary_ is bumped after every
+  // per-resource store; it is the single test's only load.
+  std::atomic<u64> gen_[kNumSyncRes] = {kFirstGen, kFirstGen, kFirstGen, kFirstGen, kFirstGen};
+  std::atomic<u64> summary_{kFirstGen};
 
   mutable Spinlock rupdlock_{"shaddr.rupdlock"};  // s_rupdlock
   Inode* cdir_ SG_GUARDED_BY(rupdlock_) = nullptr;  // s_cdir

@@ -183,7 +183,6 @@ std::string Procfs::RenderStatus(i32 pid) const {
     out += "uid " + std::to_string(p.uid) + '\n';
     out += "gid " + std::to_string(p.gid) + '\n';
     out += "shmask " + Hex(p.shmask) + '\n';
-    out += "pflag " + Hex(p.pflag) + '\n';
     out += "group " + (p.group < 0 ? std::string("-") : std::to_string(p.group)) + '\n';
     out += "syscalls " + std::to_string(p.syscalls) + '\n';
     return out;

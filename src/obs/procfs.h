@@ -5,8 +5,8 @@
 //
 // Layout:
 //   /proc/stat            global counter registry (obs/stats.h RenderText)
-//   /proc/<pid>/status    pid, ppid, state, ids, shmask, p_flag sync bits,
-//                         share-group id, syscall count
+//   /proc/<pid>/status    pid, ppid, state, ids, shmask, share-group id,
+//                         syscall count
 //   /proc/share/<gid>     member list, s_refcnt, shared-read-lock stats
 //
 // File contents are generated at read(2) time; the directory population
@@ -38,7 +38,6 @@ struct ProcStatus {
   u32 uid = 0;
   u32 gid = 0;
   u32 shmask = 0;
-  u32 pflag = 0;
   i64 group = -1;
   u64 syscalls = 0;
 };

@@ -1,10 +1,12 @@
 // Proc — the process table entry plus u-area of one simulated process.
 //
-// The share-group fields follow the paper directly:
-//   * p_shmask (§6.3) — the kernel copy of the share mask chosen at sproc();
-//   * p_flag sync bits (§6.3) — set by OTHER members when they modify a
-//     shared resource; tested in one AND on every kernel entry, and again
-//     after acquiring the update lock (the double-update race);
+// The share-group fields (§6.3):
+//   * p_shmask — the kernel copy of the share mask chosen at sproc();
+//   * p_sync — the generations of the group's shared resources this
+//     member's private copies reflect. Kernel entry compares its summary
+//     with the block's "in a single test", and updaters compare the
+//     resource's generation again after acquiring the update lock (the
+//     double-update race);
 //   * shaddr — pointer to the group's shared-address block (core/shaddr.h),
 //     linked through s_plink; opaque at this layer.
 //
@@ -63,15 +65,18 @@ class ShaddrPtr {
   std::atomic<ShaddrBlock*> p_{nullptr};
 };
 
-// p_flag bits. The five sync bits say "your private copy of this resource
-// is stale; resynchronize from the shared-address block on kernel entry".
-inline constexpr u32 kPfSyncFds = 1u << 0;
-inline constexpr u32 kPfSyncDir = 1u << 1;
-inline constexpr u32 kPfSyncId = 1u << 2;
-inline constexpr u32 kPfSyncUmask = 1u << 3;
-inline constexpr u32 kPfSyncUlimit = 1u << 4;
-inline constexpr u32 kPfSyncAny =
-    kPfSyncFds | kPfSyncDir | kPfSyncId | kPfSyncUmask | kPfSyncUlimit;
+// The resources a share group synchronizes through its block (§6.3), in
+// the order of ShaddrBlock::kSyncTable and SyncCache::gen.
+enum SyncRes : u32 { kResFds, kResDir, kResIds, kResUmask, kResUlimit, kNumSyncRes };
+
+// A member's view of the block's generations (core/shaddr.h, DESIGN.md
+// §4f): the summary it last synchronized against and, per resource, the
+// generation its private copy reflects. A zeroed cache is stale on every
+// resource, because the block's generations start at 1.
+struct SyncCache {
+  u64 summary = 0;
+  std::array<u64, kNumSyncRes> gen{};
+};
 
 enum class ProcState {
   kEmbryo,   // allocated, not yet started
@@ -100,18 +105,15 @@ class Proc final : public ExecutionContext {
   // Membership identity (shaddr + p_shmask) is published atomically:
   // attach sets it before the member is linked into the chain, detach
   // clears it before the unlink drops the refcount, so concurrent chain
-  // walkers (FlagOthers, the /proc snapshots) and PR_JOINGROUP's
+  // walkers (ForEachMember, the /proc snapshots) and PR_JOINGROUP's
   // cross-thread peek never see a half-formed member.
   ShaddrPtr shaddr;               // null when not in a share group
   std::atomic<u32> p_shmask{0};   // resources this member shares
-  std::atomic<u32> p_flag{0};     // sync bits (see above)
   Proc* s_plink = nullptr;        // next member in the share group chain
-  // Generation caches for the §6.3 delta-sync protocol (DESIGN.md §4f).
   // Owner-thread only: written by this process's own kernel entries and
-  // updates. Other members communicate through the block's generations and
-  // the p_flag bits, never by touching these.
-  u64 p_resgen = 0;         // packed per-resource gen word last synced against
-  u64 p_fd_synced_gen = 0;  // master fd-table generation our fd table reflects
+  // updates. Other members communicate through the block's generations,
+  // never by touching it.
+  SyncCache p_sync;
   // Fair-share account of this member's group (src/rm/). Set by attach
   // before the member is linked, cleared by detach before the node can die;
   // read on every scheduler call below, so lifetime follows membership

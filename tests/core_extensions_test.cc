@@ -4,6 +4,7 @@
 // (dynamic membership for non-VM resources), PR_SETGROUPPRI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "api/kernel.h"
@@ -296,6 +297,50 @@ TEST(JoinGroup, UnrelatedProcessJoinsForNonVmResources) {
   k.WaitAll();
   EXPECT_TRUE(founder_sees_fd.load());
   EXPECT_EQ(k.LiveBlocks(), 0u);
+}
+
+// A joiner's private copies are unrelated to the group's, so PR_JOINGROUP
+// must replace each shared one with the master copy: state the founder set
+// before the group existed, and a descriptor in a slot the group never used.
+TEST(JoinGroup, JoinerAdoptsGroupState) {
+  Kernel k;
+  std::atomic<pid_t> founder_pid{0};
+  std::atomic<bool> done{false};
+  auto founder = k.Launch([&](Env& env, long) {
+    env.Umask(027);
+    EXPECT_EQ(env.Mkdir("/grp"), 0);
+    EXPECT_EQ(env.Chdir("/grp"), 0);
+    EXPECT_EQ(env.UlimitSet(u64{1} << 20), 0);
+    env.Sproc([](Env&, long) {}, PR_SALL);  // create the group
+    env.WaitChild();
+    founder_pid = env.Pid();
+    while (!done.load()) {
+      env.Yield();
+    }
+  });
+  auto joiner = k.Launch([&](Env& env, long) {
+    [&] {
+      env.Umask(0);
+      ASSERT_EQ(env.Open("/private", kOpenWrite | kOpenCreat), 0);  // slot 0
+      while (founder_pid.load() == 0) {
+        env.Yield();
+      }
+      ASSERT_GT(env.Prctl(PR_JOINGROUP, founder_pid.load()), 0);
+      EXPECT_LT(env.WriteStr(0, "x"), 0);  // the group's slot 0 is empty
+      EXPECT_EQ(env.LastError(), Errno::kEBADF);
+      EXPECT_EQ(env.Umask(027), 027);
+      EXPECT_EQ(env.UlimitGet(), i64{1} << 20);
+      const int fd = env.Open("rel", kOpenWrite | kOpenCreat);
+      ASSERT_GE(fd, 0);
+      EXPECT_EQ(env.Close(fd), 0);
+      const auto entries = env.ListDir("/grp");
+      EXPECT_NE(std::find(entries.begin(), entries.end(), "rel"), entries.end());
+    }();
+    done = true;
+  });
+  ASSERT_TRUE(founder.ok() && joiner.ok());
+  k.WaitAll();
+  EXPECT_EQ(k.vfs().files().Count(), 0u);  // the dropped private file too
 }
 
 TEST(JoinGroup, RulesEnforced) {

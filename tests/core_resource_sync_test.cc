@@ -1,6 +1,7 @@
 // §6.3 resource synchronization: descriptor propagation through s_ofile,
 // directory/umask/ulimit/id propagation through the shared block, the
-// p_flag sync bits, and the block's own reference counts.
+// generation caches checked at kernel entry, and the block's own reference
+// counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -247,15 +248,15 @@ TEST(SyncBits, GenerationLagsOnOthersAndCatchesUpOnEntry) {
     // Wait in USER mode (no syscalls) so our stale window stays observable.
     while (!gate.load()) {
     }
-    // The child's update was O(1): it bumped the umask generation lane
-    // instead of walking the chain to set our p_flag bit...
-    EXPECT_EQ(env.proc().p_flag.load() & kPfSyncUmask, 0u);
-    // ...so our cached word now lags the block's.
-    EXPECT_NE(env.proc().p_resgen, env.proc().shaddr->resgen());
-    // Any syscall is a kernel entry; the single packed-word compare catches
-    // the lag, pulls the umask lane, and the cache catches up.
+    // The child's update was O(1): it bumped the umask generation and the
+    // summary instead of walking the chain to mark us, so our cached
+    // summary now lags the block's.
+    EXPECT_NE(env.proc().p_sync.summary, env.proc().shaddr->summary());
+    EXPECT_NE(env.proc().p_sync.gen[kResUmask], env.proc().shaddr->generation(kResUmask));
+    // Any syscall is a kernel entry; the single summary compare catches the
+    // lag, pulls the umask, and the cache catches up.
     (void)env.UlimitGet();
-    EXPECT_EQ(env.proc().p_resgen, env.proc().shaddr->resgen());
+    EXPECT_EQ(env.proc().p_sync.summary, env.proc().shaddr->summary());
     EXPECT_EQ(env.Umask(011), 011);  // previous mask = the child's value
     env.WaitChild();
   });

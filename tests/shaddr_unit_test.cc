@@ -1,6 +1,7 @@
 // Direct ShaddrBlock unit tests (no kernel): the member chain at the
-// structure level, master-copy seeding, and the TryAddMember drain guard
-// that PR_JOINGROUP relies on.
+// structure level, master-copy seeding, the TryAddMember drain guard that
+// PR_JOINGROUP relies on, and the generation sync: per-resource masks at
+// entry, long lags, and the updater's own cache.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -114,23 +115,29 @@ TEST(ShaddrUnit, EntrySyncRespectsPerResourceMasks) {
   ShaddrBlock block(*a, rig.cpus, rig.vfs, rig.rm);
   rig.Attach(block, *b, PR_SUMASK);
   rig.Attach(block, *c, PR_SULIMIT);
-  a->umask = 011;
+  block.SyncOnKernelEntry(*b);  // start both fully caught up
+  block.SyncOnKernelEntry(*c);
+  const SyncCache b_before = b->p_sync;
+  const SyncCache c_before = c->p_sync;
   block.UpdateUmask(*a, 011);
-  // O(1) updates: nobody's p_flag is touched; staleness is carried by the
-  // generation lanes alone.
-  EXPECT_EQ(b->p_flag.load() & kPfSyncAny, 0u);
-  EXPECT_EQ(c->p_flag.load() & kPfSyncAny, 0u);
   block.UpdateUlimit(*a, 999);
-  // Each member's entry-sync pulls only the resources it shares; the other
-  // lanes are adopted without touching the member's private copies.
+  // O(1) updates: nobody else's cache is touched; staleness is carried by
+  // the block's generations alone.
+  EXPECT_EQ(b->p_sync.summary, b_before.summary);
+  EXPECT_EQ(c->p_sync.summary, c_before.summary);
+  EXPECT_NE(b->p_sync.summary, block.summary());
+  // Each member's entry-sync pulls only the resources it shares and skips
+  // the rest without touching the member's private copies.
   block.SyncOnKernelEntry(*b);
   EXPECT_EQ(b->umask, 011);
   EXPECT_NE(b->ulimit, 999u);
-  EXPECT_EQ(b->p_resgen, block.resgen());  // fully caught up either way
+  EXPECT_EQ(b->p_sync.summary, block.summary());  // fully caught up either way
+  EXPECT_EQ(b->p_sync.gen[kResUlimit], b_before.gen[kResUlimit]);
   block.SyncOnKernelEntry(*c);
   EXPECT_EQ(c->ulimit, 999u);
   EXPECT_NE(c->umask, 011);
-  EXPECT_EQ(c->p_resgen, block.resgen());
+  EXPECT_EQ(c->p_sync.summary, block.summary());
+  EXPECT_EQ(c->p_sync.gen[kResUmask], c_before.gen[kResUmask]);
   EXPECT_FALSE(block.RemoveMember(*b));
   EXPECT_FALSE(block.RemoveMember(*c));
   EXPECT_TRUE(block.RemoveMember(*a));
@@ -139,38 +146,61 @@ TEST(ShaddrUnit, EntrySyncRespectsPerResourceMasks) {
   rig.DestroyProc(*c);
 }
 
-TEST(ShaddrUnit, ScalarLaneWrapFallsBackToFlagging) {
+// An updater that has not entered the kernel since a peer's update must not
+// skip that update when it caches its own bump: a's cached summary may
+// follow the block's only when a's bump was the next one after a's last
+// sync.
+TEST(ShaddrUnit, UpdaterStillPullsPeerUpdateItMissed) {
   Rig rig;
   auto a = rig.MakeProc(1);
   auto b = rig.MakeProc(2);
   ShaddrBlock block(*a, rig.cpus, rig.vfs, rig.rm);
-  rig.Attach(block, *b, PR_SUMASK);
-  block.SyncOnKernelEntry(*b);  // start b fully caught up
-  // Drive the 12-bit umask lane all the way around. A member whose cached
-  // lane would alias (exactly 2^bits updates behind) must still be caught:
-  // the wrap falls back to the paper's p_flag walk, which forces the pull
-  // independently of the word compare.
-  bool flagged_at_wrap = false;
-  for (u64 i = 0; i < LaneLimit(kLaneUmask); ++i) {
-    block.UpdateUmask(*a, static_cast<mode_t>(i & 0777));
-    if ((b->p_flag.load() & kPfSyncUmask) != 0) {
-      flagged_at_wrap = true;
-    }
-  }
-  EXPECT_TRUE(flagged_at_wrap);
-  // After the full cycle b's cached lane EQUALS the block's lane again —
-  // only the forced bit makes the entry-sync pull the fresh value.
-  EXPECT_EQ(LaneGet(b->p_resgen, kLaneUmask), LaneGet(block.resgen(), kLaneUmask));
+  rig.Attach(block, *b, PR_SALL & ~PR_SADDR);
+  block.SyncOnKernelEntry(*a);  // both start current
   block.SyncOnKernelEntry(*b);
-  EXPECT_EQ(b->umask, a->umask);
-  EXPECT_EQ(b->p_flag.load() & kPfSyncUmask, 0u);
+
+  block.UpdateUmask(*b, 007);
+  block.UpdateUlimit(*a, 12345);  // a has not entered since b's update
+  EXPECT_EQ(a->ulimit, 12345u);
+  EXPECT_NE(a->umask, 007);
+
+  block.SyncOnKernelEntry(*a);
+  EXPECT_EQ(a->umask, 007);
+  EXPECT_EQ(a->ulimit, 12345u);
+  block.SyncOnKernelEntry(*b);
+  EXPECT_EQ(b->umask, 007);
+  EXPECT_EQ(b->ulimit, 12345u);
   EXPECT_FALSE(block.RemoveMember(*b));
   EXPECT_TRUE(block.RemoveMember(*a));
   rig.DestroyProc(*a);
   rig.DestroyProc(*b);
 }
 
-TEST(ShaddrUnit, FdLaneWrapFallsBackToFlagging) {
+TEST(ShaddrUnit, ScalarLongLagConverges) {
+  Rig rig;
+  auto a = rig.MakeProc(1);
+  auto b = rig.MakeProc(2);
+  ShaddrBlock block(*a, rig.cpus, rig.vfs, rig.rm);
+  rig.Attach(block, *b, PR_SUMASK);
+  block.SyncOnKernelEntry(*b);  // start b fully caught up
+  // b sleeps through 2^12+1 umask updates (past where a 12-bit generation
+  // would alias); its next entry must still pull the latest value.
+  constexpr u64 kUpdates = (u64{1} << 12) + 1;
+  for (u64 i = 1; i <= kUpdates; ++i) {
+    block.UpdateUmask(*a, static_cast<mode_t>(i & 0777));
+  }
+  EXPECT_EQ(block.generation(kResUmask), kFirstGen + kUpdates);
+  EXPECT_NE(b->umask, a->umask);
+  block.SyncOnKernelEntry(*b);
+  EXPECT_EQ(b->umask, a->umask);
+  EXPECT_EQ(b->p_sync.summary, block.summary());
+  EXPECT_FALSE(block.RemoveMember(*b));
+  EXPECT_TRUE(block.RemoveMember(*a));
+  rig.DestroyProc(*a);
+  rig.DestroyProc(*b);
+}
+
+TEST(ShaddrUnit, FdLongLagConverges) {
   Rig rig;
   auto a = rig.MakeProc(1);
   auto b = rig.MakeProc(2);
@@ -181,35 +211,30 @@ TEST(ShaddrUnit, FdLaneWrapFallsBackToFlagging) {
   {
     ShaddrBlock block(*a, rig.cpus, rig.vfs, rig.rm);
     rig.Attach(block, *b, PR_SFDS);
-    // Raw attach (no sproc seeding): force a full reconcile, the same way
-    // PR_JOINGROUP initializes a dynamic joiner.
-    b->p_flag.fetch_or(kPfSyncFds, std::memory_order_acq_rel);
-    block.LockFileUpdate();
-    block.PullFdsIfFlagged(*b);  // b catches up (and dups slot 0)
-    block.UnlockFileUpdate();
+    // Raw attach (no sproc seeding): b's cache is zeroed, the same state
+    // PR_JOINGROUP gives a dynamic joiner, so its first pull reconciles
+    // every slot.
+    block.SyncOnKernelEntry(*b);  // b catches up (and dups slot 0)
+    EXPECT_EQ(b->fds.Slot(0).file, f);
     EXPECT_EQ(rig.vfs.files().RefCount(f), 3u);  // a + master + b
 
-    // Drive the full-width table generation around the 16-bit lane mirror
-    // by toggling slot 0's flag byte (one changed slot per publish, no
-    // refcount traffic). After 2^16 publishes b's cached lane ALIASES the
-    // block's again; only the wrap's FlagOthers fallback can catch it.
-    bool flagged_at_wrap = false;
-    for (u64 i = 0; i < LaneLimit(kLaneFds); ++i) {
+    // b sleeps through 2^16+1 publishes (past where a 16-bit generation
+    // would alias), each toggling slot 0's flag byte: one changed slot per
+    // publish, no refcount traffic.
+    constexpr u64 kPublishes = (u64{1} << 16) + 1;
+    for (u64 i = 0; i < kPublishes; ++i) {
       a->fds.Slot(0).close_on_exec = !a->fds.Slot(0).close_on_exec;
       block.LockFileUpdate();
-      block.PullFdsIfFlagged(*a);
+      block.PullFds(*a);
       block.PublishFds(*a);
       block.UnlockFileUpdate();
-      if ((b->p_flag.load() & kPfSyncFds) != 0) {
-        flagged_at_wrap = true;
-      }
     }
-    EXPECT_TRUE(flagged_at_wrap);
-    EXPECT_EQ(LaneGet(b->p_resgen, kLaneFds), LaneGet(block.resgen(), kLaneFds));
-    // The forced (flag-driven) pull reconciles despite the lane alias.
+    EXPECT_EQ(block.generation(kResFds), kFirstGen + kPublishes);
+    EXPECT_NE(b->fds.Slot(0).close_on_exec, a->fds.Slot(0).close_on_exec);
     block.SyncOnKernelEntry(*b);
     EXPECT_EQ(b->fds.Slot(0).close_on_exec, a->fds.Slot(0).close_on_exec);
-    EXPECT_EQ(b->p_flag.load() & kPfSyncFds, 0u);
+    EXPECT_EQ(b->p_sync.summary, block.summary());
+    EXPECT_EQ(rig.vfs.files().RefCount(f), 3u);
 
     rig.ReleaseFds(*a);
     rig.ReleaseFds(*b);

@@ -12,6 +12,13 @@
 #   asan     — AddressSanitizer, full suite
 #   ubsan    — UndefinedBehaviorSanitizer (hard errors), full suite
 #
+# When the default preset runs, lint and the benchmark's smoke test
+# (`perfbench/run.py --smoke`: zero failed ops, clean teardown, and the
+# predicted per-layer counts such as 2 published fd slots per fd_share op)
+# follow it. The smoke needs 4 usable cores (sgbench pins 3 members one
+# per core plus its harness and refuses to oversubscribe); on a smaller
+# host it is reported as not run, and the final line says so.
+#
 # Pass preset names to run a subset: `tools/ci.sh default asan`. The tsa
 # preset (clang -Wthread-safety) is not in the default ladder because the
 # container ships gcc only; add it explicitly where clang exists.
@@ -40,11 +47,27 @@ for p in "${presets[@]}"; do
 done
 
 # Lint rides the default build's sgcheck binary (and clang-tidy if present).
+smoke_skipped=""
 if [[ " ${presets[*]} " == *" default "* ]]; then
   echo "===================================================================="
   echo "== ci: lint"
   echo "===================================================================="
   "${repo}/tools/lint.sh" "${repo}/build"
+
+  echo "===================================================================="
+  echo "== ci: perfbench smoke"
+  echo "===================================================================="
+  cores=$(python3 -c 'import os; print(len(os.sched_getaffinity(0)))')
+  if [ "${cores}" -ge 4 ]; then
+    python3 "${repo}/perfbench/run.py" --smoke
+  else
+    smoke_skipped="perfbench smoke NOT run: ${cores} usable cores, sgbench needs 4"
+    echo "ci: ${smoke_skipped}"
+  fi
 fi
 
-echo "ci: all green (${presets[*]})"
+if [ -n "${smoke_skipped}" ]; then
+  echo "ci: presets green (${presets[*]}); ${smoke_skipped}"
+else
+  echo "ci: all green (${presets[*]})"
+fi
