@@ -4,6 +4,7 @@
 // "when one of the processes in a group opens a file, the others will see
 // the file as immediately available to them".
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "api/kernel.h"
@@ -40,18 +41,24 @@ bool FdCapAllows(ShaddrBlock* b, u64 delta) {
 }
 
 // The descriptor-update bracket, scoped: the constructor takes s_fupdsema
-// and pulls, the destructor publishes and releases; a null block (the
+// and pulls, the destructor publishes and unlocks; a null block (the
 // caller does not share PR_SFDS) makes both no-ops. Publishing is
 // unconditional because PublishFds diffs the tables, so a failed call
 // stamps nothing. Close the scope before SyscallExit: a signal handler run
 // there may take the bracket itself.
+//
+// s_fupdsema is a spinlock, so the scope holds only the table edit: the
+// file-system work comes before it, and a reference the call drops goes
+// through Release(), which drops it after the unlock because a last
+// reference's release may sleep.
 //
 // The bracket is conditional, which clang's thread-safety analysis cannot
 // express, so the guard carries SG_NO_THREAD_SAFETY_ANALYSIS and the
 // runtime lockdep validator covers the bracket ordering instead.
 class FdUpdate {
  public:
-  FdUpdate(Proc& p, ShaddrBlock* b) SG_NO_THREAD_SAFETY_ANALYSIS : p_(p), b_(b) {
+  FdUpdate(FileTable& files, Proc& p, ShaddrBlock* b) SG_NO_THREAD_SAFETY_ANALYSIS
+      : files_(files), p_(p), b_(b) {
     if (b_ != nullptr) {
       b_->LockFileUpdate();
       b_->PullFds(p_);
@@ -62,15 +69,27 @@ class FdUpdate {
       b_->PublishFds(p_);
       b_->UnlockFileUpdate();
     }
+    for (u32 i = 0; i < ndropped_; ++i) {
+      files_.Release(dropped_[i]);
+    }
   }
   FdUpdate(const FdUpdate&) = delete;
   FdUpdate& operator=(const FdUpdate&) = delete;
 
   ShaddrBlock* block() const { return b_; }
 
+  // Drops one of the caller's references once the bracket is closed.
+  void Release(OpenFile* f) {
+    SG_CHECK(ndropped_ < dropped_.size());
+    dropped_[ndropped_++] = f;
+  }
+
  private:
+  FileTable& files_;
   Proc& p_;
   ShaddrBlock* const b_;
+  std::array<OpenFile*, 2> dropped_{};  // a refused pipe drops both ends
+  u32 ndropped_ = 0;
 };
 
 }  // namespace
@@ -78,25 +97,26 @@ class FdUpdate {
 Result<int> Kernel::Open(Proc& p, std::string_view path, u32 flags, mode_t mode) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("open");
-  Result<int> result = Errno::kEINVAL;
-  {
-    FdUpdate u(p, FdBlock(p));
-    if (!FdCapAllows(u.block(), 1)) {
-      result = Errno::kEAGAIN;
-    } else {
-      auto f = SG_INJECT_FAULT("open")
-                   ? Result<OpenFile*>(Errno::kENFILE)  // injected: file table full
-                   : vfs_.Open(p.cwd, p.rootdir, CredOf(p), path, flags, mode, p.umask);
-      if (!f.ok()) {
-        result = f.error();
-      } else {
-        auto fd = p.fds.AllocSlot(f.value());
-        if (!fd.ok()) {
-          vfs_.files().Release(f.value());
-        }
-        result = fd;
-      }
+  // Linux's order: open the file, then take the table lock to install it.
+  // A refused install (EAGAIN, EMFILE) leaves an O_CREAT file behind,
+  // empty, and O_TRUNC waits until the descriptor exists.
+  auto f = SG_INJECT_FAULT("open")
+               ? Result<OpenFile*>(Errno::kENFILE)  // injected: file table full
+               : vfs_.Open(p.cwd, p.rootdir, CredOf(p), path, flags, mode, p.umask);
+  Result<int> result = Errno::kEAGAIN;
+  if (!f.ok()) {
+    result = f.error();
+  } else {
+    FdUpdate u(vfs_.files(), p, FdBlock(p));
+    if (FdCapAllows(u.block(), 1)) {
+      result = p.fds.AllocSlot(f.value());
     }
+    if (!result.ok()) {  // EAGAIN or EMFILE
+      u.Release(f.value());
+    }
+  }
+  if (result.ok()) {
+    vfs_.TruncateOnOpen(*f.value());
   }
   SyscallExit(p);
   return result;
@@ -107,12 +127,12 @@ Status Kernel::Close(Proc& p, int fd) {
   SG_OBS_SYSCALL("close");
   Status st = Status::Ok();
   {
-    FdUpdate u(p, FdBlock(p));
+    FdUpdate u(vfs_.files(), p, FdBlock(p));
     auto f = p.fds.ClearSlot(fd);
     if (!f.ok()) {
       st = f.error();
     } else {
-      vfs_.files().Release(f.value());
+      u.Release(f.value());
     }
   }
   SyscallExit(p);
@@ -124,14 +144,14 @@ Result<int> Kernel::Dup(Proc& p, int fd) {
   SG_OBS_SYSCALL("dup");
   Result<int> result = Errno::kEBADF;
   {
-    FdUpdate u(p, FdBlock(p));
+    FdUpdate u(vfs_.files(), p, FdBlock(p));
     auto f = p.fds.Get(fd);
     if (f.ok() && !FdCapAllows(u.block(), 1)) {
       result = Errno::kEAGAIN;
     } else if (f.ok()) {
-      result = p.fds.AllocSlot(vfs_.files().Dup(f.value()));
+      result = p.fds.AllocSlot(vfs_.files().Hold(f.value()));
       if (!result.ok()) {
-        vfs_.files().Release(f.value());
+        u.Release(f.value());
       }
     }
   }
@@ -144,7 +164,7 @@ Result<int> Kernel::Dup2(Proc& p, int fd, int newfd) {
   SG_OBS_SYSCALL("dup2");
   Result<int> result = Errno::kEBADF;
   {
-    FdUpdate u(p, FdBlock(p));
+    FdUpdate u(vfs_.files(), p, FdBlock(p));
     auto f = p.fds.Get(fd);
     if (f.ok() && p.fds.ValidFd(newfd)) {
       if (fd == newfd) {
@@ -155,10 +175,10 @@ Result<int> Kernel::Dup2(Proc& p, int fd, int newfd) {
       } else {
         auto old = p.fds.ClearSlot(newfd);
         if (old.ok()) {
-          vfs_.files().Release(old.value());
+          u.Release(old.value());
         }
         // newfd was validated above, so the slot store cannot fail.
-        SG_CHECK(p.fds.SetSlot(newfd, vfs_.files().Dup(f.value()), false).ok());
+        SG_CHECK(p.fds.SetSlot(newfd, vfs_.files().Hold(f.value()), false).ok());
         result = newfd;
       }
     }
@@ -172,7 +192,7 @@ Status Kernel::SetCloexec(Proc& p, int fd, bool on) {
   SG_OBS_SYSCALL("setcloexec");
   Status st = Status::Ok();
   {
-    FdUpdate u(p, FdBlock(p));  // s_pofile mirrors the flag bytes too
+    FdUpdate u(vfs_.files(), p, FdBlock(p));  // s_pofile mirrors the flag bytes too
     if (!p.fds.ValidFd(fd) || !p.fds.Slot(fd).used()) {
       st = Errno::kEBADF;
     } else {
@@ -197,30 +217,28 @@ Result<bool> Kernel::GetCloexec(Proc& p, int fd) {
 Result<std::pair<int, int>> Kernel::MakePipe(Proc& p) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("makepipe");
-  Result<std::pair<int, int>> result = Errno::kENFILE;
-  {
-    FdUpdate u(p, FdBlock(p));
-    if (!FdCapAllows(u.block(), 2)) {  // a pipe admits both ends or neither
-      result = Errno::kEAGAIN;
-    } else {
-      auto made = vfs_.MakePipe();
-      if (!made.ok()) {
-        result = made.error();
+  auto made = vfs_.MakePipe();  // both ends exist before the bracket, as in Open
+  Result<std::pair<int, int>> result = Errno::kEAGAIN;
+  if (!made.ok()) {
+    result = made.error();
+  } else {
+    auto [rd, wr] = made.value();
+    FdUpdate u(vfs_.files(), p, FdBlock(p));
+    if (FdCapAllows(u.block(), 2)) {  // a pipe admits both ends or neither
+      auto rfd = p.fds.AllocSlot(rd);
+      auto wfd = rfd.ok() ? p.fds.AllocSlot(wr) : Result<int>(Errno::kEMFILE);
+      if (wfd.ok()) {
+        result = std::make_pair(rfd.value(), wfd.value());
       } else {
-        auto [rd, wr] = made.value();
-        auto rfd = p.fds.AllocSlot(rd);
-        auto wfd = rfd.ok() ? p.fds.AllocSlot(wr) : Result<int>(Errno::kEMFILE);
-        if (!rfd.ok() || !wfd.ok()) {
-          if (rfd.ok()) {
-            p.fds.ClearSlot(rfd.value()).value();
-          }
-          vfs_.files().Release(rd);
-          vfs_.files().Release(wr);
-          result = Errno::kEMFILE;
-        } else {
-          result = std::make_pair(rfd.value(), wfd.value());
+        if (rfd.ok()) {
+          p.fds.ClearSlot(rfd.value()).value();
         }
+        result = Errno::kEMFILE;
       }
+    }
+    if (!result.ok()) {
+      u.Release(rd);
+      u.Release(wr);
     }
   }
   SyscallExit(p);

@@ -92,7 +92,7 @@ void Kernel::InheritUArea(Proc& parent, Proc& child) {
   for (int fd = 0; fd < FdTable::kMaxFds; ++fd) {
     const FdEntry& e = parent.fds.Slot(fd);
     if (e.used()) {
-      SG_CHECK(child.fds.SetSlot(fd, vfs_.files().Dup(e.file), e.close_on_exec).ok());
+      SG_CHECK(child.fds.SetSlot(fd, vfs_.files().Hold(e.file), e.close_on_exec).ok());
     }
   }
   MutexGuard l(parent.sig_mu);

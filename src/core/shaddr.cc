@@ -6,6 +6,7 @@
 #include "base/check.h"
 #include "core/share_mask.h"
 #include "inject/inject.h"
+#include "obs/trace.h"
 #include "sync/seqcount.h"
 #include "sync/shared_read_lock.h"
 
@@ -67,7 +68,7 @@ ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceMana
   for (const FdEntry& e : creator.fds.slots()) {
     MasterFdSlot s;
     if (e.used()) {
-      s.e = FdEntry{vfs_.files().Dup(e.file), e.close_on_exec};
+      s.e = FdEntry{vfs_.files().Hold(e.file), e.close_on_exec};
       ++used;
     }
     ofile_.push_back(s);
@@ -357,6 +358,25 @@ void ShaddrBlock::SyncFds(Proc& p) {
   UnlockFileUpdate();
 }
 
+void ShaddrBlock::UnlockFileUpdate() {
+  // Copy the displaced references out while still holding the lock (the
+  // next holder refills the list), then drop them unlocked: a last
+  // reference closes its pipe end and puts its inode, which may sleep.
+  std::array<OpenFile*, kMaxDisplaced> dead{};
+  const u32 n = ndisplaced_;
+  std::copy_n(displaced_.begin(), n, dead.begin());
+  ndisplaced_ = 0;
+  fupdsema_.Unlock();
+  for (u32 i = 0; i < n; ++i) {
+    vfs_.files().Release(dead[i]);
+  }
+}
+
+void ShaddrBlock::DeferRelease(OpenFile* f) {
+  SG_CHECK(ndisplaced_ < kMaxDisplaced);
+  displaced_[ndisplaced_++] = f;
+}
+
 void ShaddrBlock::PullFds(Proc& p) {
   const u64 gen = gen_[kResFds].load(std::memory_order_relaxed);
   u64& synced = p.p_sync.gen[kResFds];
@@ -381,9 +401,9 @@ void ShaddrBlock::PullFds(Proc& p) {
       continue;
     }
     if (mine.used()) {
-      vfs_.files().Release(mine.file);
+      DeferRelease(mine.file);
     }
-    mine = s.e.used() ? FdEntry{vfs_.files().Dup(s.e.file), s.e.close_on_exec} : FdEntry{};
+    mine = s.e.used() ? FdEntry{vfs_.files().Hold(s.e.file), s.e.close_on_exec} : FdEntry{};
     ++pulled;
   }
   synced = gen;
@@ -409,10 +429,10 @@ void ShaddrBlock::PublishFds(Proc& p) {
     }
     if (s.e.file != mine.file) {
       OpenFile* displaced = s.e.file;  // may be null
-      s.e.file = mine.used() ? vfs_.files().Dup(mine.file) : nullptr;
+      s.e.file = mine.used() ? vfs_.files().Hold(mine.file) : nullptr;
       used_delta += (s.e.file != nullptr ? 1 : 0) - (displaced != nullptr ? 1 : 0);
       if (displaced != nullptr) {
-        vfs_.files().Release(displaced);
+        DeferRelease(displaced);
       }
     }
     s.e.close_on_exec = mine.close_on_exec;

@@ -7,7 +7,8 @@
 //       -> space_ (vm::SharedSpace: the shared pregion list + SharedReadLock)
 //   s_plink / s_refcnt / s_listlock
 //       -> the member chain (through Proc::s_plink), refcnt_, listlock_
-//   s_fupdsema -> fupdsema_ (single-threads open-file-table updates)
+//   s_fupdsema -> fupdsema_ (single-threads open-file-table updates; a
+//       spinlock here, see LockFileUpdate)
 //   s_ofile / s_pofile -> ofile_ (master copy of the descriptor table,
 //       FdEntry carries the per-descriptor flag byte), generation-stamped
 //       per slot for delta synchronization
@@ -44,6 +45,7 @@
 #ifndef SRC_CORE_SHADDR_H_
 #define SRC_CORE_SHADDR_H_
 
+#include <array>
 #include <atomic>
 #include <vector>
 
@@ -52,12 +54,10 @@
 #include "fs/file.h"
 #include "fs/vfs.h"
 #include "hw/cpu_set.h"
+#include "inject/inject.h"
 #include "obs/stats.h"
-#include "obs/trace.h"
 #include "proc/proc.h"
 #include "rm/rm.h"
-#include "sync/lockdep.h"
-#include "sync/semaphore.h"
 #include "sync/spinlock.h"
 #include "vm/shared_space.h"
 
@@ -165,29 +165,26 @@ class ShaddrBlock {
   //   store gen_[r] (release) -> bump summary_ -> unlock.
   //
   // File-descriptor updates are single-threaded by fupdsema_ (s_fupdsema)
-  // and bracket a whole open/close/dup in the syscall layer; the small
-  // scalar resources complete inside rupdlock_ (s_rupdlock).
+  // around the descriptor-table edit of an open/close/dup in the syscall
+  // layer; the small scalar resources complete inside rupdlock_
+  // (s_rupdlock).
 
   // Descriptor-table update bracket. Sequence in the syscall layer:
   //   LockFileUpdate(); PullFds(p); <modify p.fds>; PublishFds(p);
   //   UnlockFileUpdate();
+  // V.3 needed a sleeping semaphore because its open could sleep inside
+  // the update. Here the syscall layer walks paths, creates files and drops
+  // its own references outside the bracket, and the references the pull
+  // and the publish displace are dropped by UnlockFileUpdate after the
+  // unlock, so nothing inside can sleep and fupdsema_ is a spinlock.
   void LockFileUpdate() SG_ACQUIRE(fupdsema_) {
-    // The bracket is a sleeping acquisition even when TryP wins the fast
-    // path, so declare the sleep intent before trying.
-    lockdep::MaySleep("shaddr.LockFileUpdate");
-    if (fupdsema_.TryP()) {
-      lockdep::OnAcquire(FupdsemaClass(), this);
-      return;  // uncontended: another member isn't mid-update
+    SG_INJECT_POINT("shaddr.fds.lock");
+    if (!fupdsema_.TryLock()) {
+      SG_OBS_INC("core.fupdsema_waits");  // another member is mid-update
+      fupdsema_.Lock();
     }
-    SG_OBS_INC("core.fupdsema_waits");
-    obs::Trace(obs::TraceKind::kSemSleep, 1);
-    (void)fupdsema_.P();  // uninterruptible: always kOk
-    lockdep::OnAcquire(FupdsemaClass(), this);
   }
-  void UnlockFileUpdate() SG_RELEASE(fupdsema_) {
-    lockdep::OnRelease(FupdsemaClass(), this);
-    fupdsema_.V();
-  }
+  void UnlockFileUpdate() SG_RELEASE(fupdsema_);
   // Delta pull: copies only master slots stamped newer than the member's
   // cached fds generation (every slot, for a zeroed cache).
   void PullFds(Proc& p) SG_REQUIRES(fupdsema_);
@@ -235,14 +232,6 @@ class ShaddrBlock {
   int OfileCount() const { return ofile_count_.load(std::memory_order_acquire); }
 
  private:
-  // Lockdep class of the fupdsema_ bracket (the semaphore itself is a
-  // generic counting primitive; the ordering class belongs to this use).
-  static lockdep::ClassId FupdsemaClass() {
-    static const lockdep::ClassId id =
-        lockdep::RegisterClass("shaddr.fupdsema", lockdep::Kind::kSleep);
-    return id;
-  }
-
   // Publishes an update of `r` whose master copy the caller just wrote
   // under r's lock: stores the next gen_[r] (release), then bumps summary_.
   // The updater's own copy is current, so its cached gen[r] follows; its
@@ -257,6 +246,9 @@ class ShaddrBlock {
   void PullUmask(Proc& p);
   void PullUlimit(Proc& p);
 
+  // Queues a reference the bracket displaced for UnlockFileUpdate.
+  void DeferRelease(OpenFile* f) SG_REQUIRES(fupdsema_);
+
   Vfs& vfs_;
   SharedSpace space_;
   const u64 id_;  // assigned at creation, never reused
@@ -267,12 +259,18 @@ class ShaddrBlock {
   Proc* plink_ SG_GUARDED_BY(listlock_) = nullptr;  // s_plink
   u32 refcnt_ SG_GUARDED_BY(listlock_) = 0;         // s_refcnt
 
-  Semaphore fupdsema_{1};  // s_fupdsema
+  Spinlock fupdsema_{"shaddr.fupdsema"};  // s_fupdsema
   // s_ofile + s_pofile: the master descriptor table, generation-stamped
   // per slot. Touched only inside the fupdsema_ bracket; the /proc
   // snapshot reads the incremental ofile_count_ instead of walking it.
   std::vector<MasterFdSlot> ofile_ SG_GUARDED_BY(fupdsema_);
   std::atomic<int> ofile_count_{0};
+  // References displaced inside the bracket, awaiting UnlockFileUpdate. A
+  // bracket holds one pull and one publish, each displacing at most one
+  // reference per slot, so the list never allocates.
+  static constexpr u32 kMaxDisplaced = 2 * FdTable::kMaxFds;
+  std::array<OpenFile*, kMaxDisplaced> displaced_ SG_GUARDED_BY(fupdsema_){};
+  u32 ndisplaced_ SG_GUARDED_BY(fupdsema_) = 0;
 
   // Per-resource generations, indexed by SyncRes: each is written only
   // under its resource's lock (fupdsema_ for fds, rupdlock_ for the rest)

@@ -25,8 +25,8 @@ Result<OpenFile*> FileTable::Alloc(Inode* ip, u32 flags) {
   return f;
 }
 
-OpenFile* FileTable::Dup(OpenFile* f) {
-  SG_INJECT_POINT("file.dup");
+OpenFile* FileTable::Hold(OpenFile* f) {
+  SG_INJECT_POINT("file.hold");
   const u32 prev = f->refs_.fetch_add(1, std::memory_order_relaxed);
   SG_CHECK(prev > 0);  // duping a dead entry would resurrect freed state
   return f;
@@ -41,7 +41,7 @@ void FileTable::Release(OpenFile* f) {
   if (prev > 1) {
     return;
   }
-  // Zero crossing: nobody else holds a reference (every Dup starts from a
+  // Zero crossing: nobody else holds a reference (every Hold starts from a
   // live reference), so `f` is exclusively ours to free.
   SG_INJECT_POINT("file.release.last");
   count_.fetch_sub(1, std::memory_order_acq_rel);

@@ -29,7 +29,7 @@ inline constexpr u32 kOpenRdwr = kOpenRead | kOpenWrite;
 // One system file-table entry: an open instance of an inode with its own
 // offset and mode. Reference-counted through the intrusive atomic count:
 // descriptors (and the share block's master copy) hold counted references,
-// so Dup/Release are one fetch_add/fetch_sub with no table lookup.
+// so Hold/Release are one fetch_add/fetch_sub with no table lookup.
 class OpenFile {
  public:
   OpenFile(Inode* ip, u32 flags) : inode_(ip), flags_(flags) {}
@@ -52,7 +52,7 @@ class OpenFile {
   u64 AdvanceOffset(u64 n) { return offset_.fetch_add(n, std::memory_order_relaxed); }
 
  private:
-  friend class FileTable;  // manages refs_ (Dup/Release/RefCount)
+  friend class FileTable;  // manages refs_ (Hold/Release/RefCount)
 
   Inode* inode_;
   u32 flags_;
@@ -64,7 +64,7 @@ class OpenFile {
 // the final Release() drops it (and closes pipe endpoints).
 //
 // The table owns no entries: each OpenFile is owned by its references, so
-// Dup/Release are one fetch_add/fetch_sub and the zero crossing deletes
+// Hold/Release are one fetch_add/fetch_sub and the zero crossing deletes
 // the entry. Only the live-entry count is table-wide.
 class FileTable {
  public:
@@ -77,9 +77,11 @@ class FileTable {
   Result<OpenFile*> Alloc(Inode* ip, u32 flags);
 
   // Takes an extra reference (dup/fork/share-block copy). Lock-free.
-  OpenFile* Dup(OpenFile* f);
+  OpenFile* Hold(OpenFile* f);
 
   // Drops a reference; the entry closes and is freed when it reaches zero.
+  // The last reference's release may sleep (a pipe end's mutex, the inode
+  // table), so no spinlock may be held across it.
   void Release(OpenFile* f);
 
   // Reference count of a LIVE entry (diagnostics/tests): a released entry

@@ -186,15 +186,18 @@ Result<OpenFile*> Vfs::Open(Inode* cwd, Inode* rootdir, const Cred& cred, std::s
     inodes_.Iput(ip);
     return Errno::kEPERM;  // synthetic files render on read; writes are meaningless
   }
-  if ((flags & kOpenTrunc) != 0 && ip->type() == InodeType::kRegular) {
-    ip->Truncate();
-  }
   auto f = files_.Alloc(ip, flags);
   if (!f.ok()) {
     inodes_.Iput(ip);
     return f.error();
   }
   return f.value();  // the inode reference moved into the file entry
+}
+
+void Vfs::TruncateOnOpen(OpenFile& f) {
+  if ((f.flags() & kOpenTrunc) != 0 && f.inode()->type() == InodeType::kRegular) {
+    f.inode()->Truncate();
+  }
 }
 
 Status Vfs::Mkdir(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view path,

@@ -55,9 +55,14 @@ class Vfs {
 
   // open(2): returns a counted open-file entry. kOpenCreat creates with
   // `mode & ~umask` (the PR_SUMASK-shared value); kOpenExcl makes an
-  // existing file an error; kOpenTrunc empties it.
+  // existing file an error. kOpenTrunc is left to TruncateOnOpen.
   Result<OpenFile*> Open(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view path,
                          u32 flags, mode_t mode, mode_t umask);
+  // The kOpenTrunc half of open(2): empties `f`'s file if it was opened
+  // with kOpenTrunc and is regular. Split from Open so the syscall layer
+  // truncates only once the descriptor is installed: an open refused after
+  // Open succeeded leaves the file's bytes alone.
+  void TruncateOnOpen(OpenFile& f);
 
   Status Mkdir(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view path, mode_t mode,
                mode_t umask);

@@ -32,7 +32,7 @@ enum class TraceKind : u16 {
   kTlbShootdown,    // arg0 = #TLBs flushed, arg1 = IPIs delivered
   kLockReadWait,    // shared read lock: reader blocked behind an updater
   kLockUpdateWait,  // shared read lock: updater blocked behind readers
-  kSemSleep,        // arg0 = discriminator (0 generic, 1 s_fupdsema)
+  kSemSleep,        // Semaphore::P went to sleep
   kResourceSync,    // §6.3 kernel-entry pull; arg0 = PR_S* mask of resources pulled
   kPagerSteal,      // arg0 = frames stolen
   kProcExit,        // arg0 = exit status, arg1 = terminating signal

@@ -38,7 +38,7 @@ Status Semaphore::P(SleepMode mode) {
       slept = true;
       ++sleeps_;
       SG_OBS_INC("sync.sema_sleeps");
-      obs::Trace(obs::TraceKind::kSemSleep, 0);
+      obs::Trace(obs::TraceKind::kSemSleep);
       cv_.wait(l);
       if (ctx != nullptr) {
         ctx->ClearWakeup();

@@ -21,8 +21,9 @@ enum class SleepMode {
   kInterruptible,    // additionally wake with EINTR on a pending signal
 };
 
-// Capability annotations model the binary (mutex-style) use — the kernel's
-// only instance is s_fupdsema, initial count 1, P/V strictly bracketed.
+// Capability annotations model the binary (mutex-style) use: initial count
+// 1, P/V strictly bracketed. The kernel itself holds no instance: the
+// paper's s_fupdsema is a spinlock here (core/shaddr.h).
 // The annotations describe the uninterruptible path; an EINTR return from
 // an interruptible P does NOT hold the capability, so such call sites must
 // hand the result to clang explicitly (none exist in the kernel today).

@@ -164,6 +164,49 @@ TEST(FdSharing, SingleChangePullsSingleSlot) {
   });
 }
 
+// References the fd bracket displaces are dropped after it unlocks. Here
+// B's entry pull drops the last reference to a pipe's read end, so only that
+// deferred release closes the reader: A's next write fails with EPIPE.
+TEST(FdSharing, EntryPullDropsLastReferenceAfterUnlock) {
+  Kernel k;
+  const u64 files0 = k.vfs().files().Count();
+  const u64 inodes0 = k.vfs().inodes().Count();
+  std::atomic<int> step{0};
+  std::atomic<int> rd{-1};
+  RunAsProcess(k, [&](Env& a) {
+    EXPECT_EQ(a.SignalIgnore(kSigPipe), 0);
+    a.Sproc(
+        [&](Env& b, long) {
+          while (step.load() != 1) {
+          }
+          (void)b.UlimitGet();  // entry pull: B now holds both ends
+          EXPECT_TRUE(b.proc().fds.Get(rd.load()).ok());
+          step = 2;
+          while (step.load() != 3) {
+          }
+          (void)b.UlimitGet();  // entry pull: drops the read end's last reference
+          step = 4;
+        },
+        PR_SFDS);
+    int r = -1;
+    int w = -1;
+    EXPECT_EQ(a.Pipe(&r, &w), 0);
+    rd = r;
+    step = 1;
+    while (step.load() != 2) {
+    }
+    EXPECT_EQ(a.Close(r), 0);
+    step = 3;
+    while (step.load() != 4) {
+    }
+    EXPECT_LT(a.WriteStr(w, "x"), 0);
+    EXPECT_EQ(a.LastError(), Errno::kEPIPE);
+    a.WaitChild();
+  });
+  EXPECT_EQ(k.vfs().files().Count(), files0);
+  EXPECT_EQ(k.vfs().inodes().Count(), inodes0);
+}
+
 TEST(DirSharing, ChdirPropagatesToGroup) {
   Kernel k;
   RunAsProcess(k, [&](Env& env) {

@@ -91,6 +91,12 @@ TEST_F(VfsFixture, TruncEmptiesFile) {
   vfs.WriteFile(*f.value(), s.data(), s.size(), 1 << 20).value();
   auto g = Open("/t", kOpenWrite | kOpenTrunc);
   ASSERT_TRUE(g.ok());
+  // Open leaves the bytes; the syscall layer truncates once the descriptor
+  // is installed.
+  EXPECT_EQ(g.value()->inode()->Size(), 4u);
+  vfs.TruncateOnOpen(*f.value());  // opened without kOpenTrunc: no effect
+  EXPECT_EQ(g.value()->inode()->Size(), 4u);
+  vfs.TruncateOnOpen(*g.value());
   EXPECT_EQ(g.value()->inode()->Size(), 0u);
   vfs.files().Release(f.value());
   vfs.files().Release(g.value());
@@ -265,7 +271,7 @@ TEST_F(VfsFixture, FileTableRefCounting) {
   ASSERT_TRUE(f.ok());
   OpenFile* file = f.value();
   EXPECT_EQ(vfs.files().RefCount(file), 1u);
-  vfs.files().Dup(file);
+  vfs.files().Hold(file);
   EXPECT_EQ(vfs.files().RefCount(file), 2u);
   vfs.files().Release(file);
   EXPECT_EQ(vfs.files().RefCount(file), 1u);

@@ -346,7 +346,7 @@ TEST(LifecycleStorm, FaultsUnwindCleanly) {
 // thus /proc/stat, which renders the same registry).
 TEST(LifecycleStorm, HitCountsVisibleInStats) {
   RunStorm(0xC0FFEEull, StormConfig());
-  EXPECT_GT(obs::Stats::Global().counter("inject.point.sema.tryp").value(), 0u);
+  EXPECT_GT(obs::Stats::Global().counter("inject.point.shaddr.fds.lock").value(), 0u);
   const std::string text = obs::Stats::Global().RenderText();
   EXPECT_NE(text.find("inject.point."), std::string::npos);
 }

@@ -180,6 +180,35 @@ TEST(RmApi, FileCapBreachAndRelease) {
   EXPECT_EQ(k.LiveBlocks(), 0u);
 }
 
+// open(2) resolves and creates its file before it takes the fd bracket, as
+// Linux does, and truncates only once the descriptor is installed. So an
+// open the fd cap refuses leaves an existing file's bytes alone, while a new
+// O_CREAT path stays behind, empty.
+TEST(RmApi, FileCapRefusedOpenKeepsBytesAndCreatedPath) {
+  Kernel k;
+  RunAsProcess(k, [&](Env& env) {
+    const int fd = env.Open("/rm-keep", kOpenWrite | kOpenCreat);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(env.WriteStr(fd, "data"), 4);
+    env.Sproc([](Env&, long) {}, PR_SALL);  // form a PR_SFDS group
+    env.WaitChild();
+    const u64 used = env.proc().shaddr->rm_node()->used(rm::Resource::kFiles);
+    ASSERT_EQ(env.Prctl(PR_SETRCAP, PrRcapArg(PR_RCAP_FILES, used)), static_cast<i64>(used));
+    EXPECT_LT(env.Open("/rm-keep", kOpenWrite | kOpenTrunc), 0);
+    EXPECT_EQ(env.LastError(), Errno::kEAGAIN);
+    auto kept = k.Stat(env.proc(), "/rm-keep");
+    ASSERT_TRUE(kept.ok());
+    EXPECT_EQ(kept.value().size, 4u);
+    EXPECT_LT(env.Open("/rm-new", kOpenWrite | kOpenCreat), 0);
+    EXPECT_EQ(env.LastError(), Errno::kEAGAIN);
+    auto made = k.Stat(env.proc(), "/rm-new");
+    ASSERT_TRUE(made.ok());
+    EXPECT_EQ(made.value().size, 0u);
+    EXPECT_EQ(env.Close(fd), 0);
+  });
+  EXPECT_EQ(k.LiveBlocks(), 0u);
+}
+
 TEST(RmApi, PageCapStealsUnderPressureWithSwap) {
   BootParams bp;
   bp.swap_pages = 256;
