@@ -2,8 +2,8 @@
 //
 // §7: "The overhead for synchronizing virtual memory is negligible except
 // when detaching or shrinking regions." Reproduced as:
-//   * page-fault throughput of a group member vs a plain process
-//     (read-side shared lock on every fault — nearly free);
+//   * page-fault throughput of a group member vs a plain process (a
+//     member's fault takes the lockless path, no group lock);
 //   * sbrk GROW per call vs group size (update lock, no shootdown);
 //   * sbrk SHRINK per call vs group size (update lock + synchronous
 //     all-processor TLB flush + frame frees — the expensive one);
@@ -153,10 +153,10 @@ BENCHMARK(BM_MapUnmap)->Arg(0)->Arg(3)->Arg(7)->Unit(benchmark::kMicrosecond);
 // rate is shared-image lookup/resolve throughput, not memory bandwidth.
 // Meanwhile the group leader runs `writer_ops` mmap/munmap pairs — each
 // one an update-lock acquisition, a layout-seqcount bump and a shootdown.
-// Before PR 7 every fault took the group lock's read side and the writer
-// convoyed the whole group behind each mutation; now faults validate
-// against the seqcount, and only those that straddle a bump retry or fall
-// back (the lockless_frac counter reports the split).
+// Faults validate against the seqcount, so the writer does not convoy the
+// group behind each mutation: only faults that straddle a bump retry or
+// fall back to the update lock (the lockless_frac counter reports the
+// split).
 //
 // Args: {members, writer_ops}.
 constexpr u64 kWindowPages = 128;  // 2x the TLB: every swept access misses

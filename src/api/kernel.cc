@@ -76,11 +76,9 @@ std::vector<obs::GroupStatus> Kernel::SnapshotGroups() {
       g.id = owned->id();
       g.refcnt = owned->refcnt();
       owned->ForEachMember([&](Proc& m) { g.members.push_back(m.pid); });
-      const SharedReadLock& lk = owned->space().lock();
+      const UpdateLock& lk = owned->space().lock();
       g.lock_name = lk.name();
-      g.lock_reads = lk.reads();
       g.lock_updates = lk.updates();
-      g.lock_read_waits = lk.read_waits();
       g.lock_update_waits = lk.update_waits();
       g.lock_update_wait_count = lk.update_wait_histo().count();
       g.lock_update_wait_sum_ns = lk.update_wait_histo().sum_ns();

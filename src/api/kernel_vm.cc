@@ -87,15 +87,15 @@ Status Kernel::Msync(Proc& p, vaddr_t base) {
   SG_OBS_SYSCALL("msync");
   Status st = Errno::kEINVAL;
   // Pin the region under the lock, write it back OUTSIDE: WriteBack is
-  // blocking I/O, and holding even the read side across it would stall
-  // every VM updater (sbrk, mmap, sproc stack attach) behind one msync.
+  // blocking I/O, and holding the lock across it would stall every VM
+  // updater (sbrk, mmap, sproc stack attach) behind one msync.
   // The shared_ptr keeps the region alive if the mapping is unmapped
   // concurrently; the worst case is a redundant writeback of data munmap
   // already flushed, never a lost or dangling one.
   std::shared_ptr<Region> target;
   {
     SharedSpace* ss = p.as.shared();
-    std::optional<ReadGuard> guard;
+    std::optional<UpdateGuard> guard;
     if (ss != nullptr) {
       guard.emplace(ss->lock());
     }

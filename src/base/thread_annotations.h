@@ -1,6 +1,6 @@
 // Clang Thread Safety Analysis attribute macros (SG_-prefixed, following
 // the abseil convention). The paper's §6 correctness story is a lock
-// *protocol* — s_acclck above s_listlock, s_rupdlock/s_fupdsema
+// *protocol* — the update lock above s_listlock, s_rupdlock/s_fupdsema
 // single-threading resource updates, spinlock holders never sleeping —
 // and these macros let the compiler check the static half of it: capability
 // types on the sync/ primitives, GUARDED_BY on the protected state, and
@@ -25,7 +25,7 @@
 
 // Marks a class as a capability: something that can be held, and whose
 // holding other annotations can reference. The string names the kind in
-// diagnostics ("spinlock", "semaphore", "shared_read_lock", "mutex").
+// diagnostics ("spinlock", "semaphore", "update_lock", "mutex").
 #define SG_CAPABILITY(x) SG_THREAD_ANNOTATION_(capability(x))
 
 // Marks an RAII class whose constructor acquires and destructor releases.
@@ -41,29 +41,21 @@
 
 // ----- function annotations -----
 
-// Caller must hold the capability (exclusively / at least shared).
+// Caller must hold the capability.
 #define SG_REQUIRES(...) \
   SG_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-#define SG_REQUIRES_SHARED(...) \
-  SG_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 
 // The function acquires the capability (and holds it on return).
 #define SG_ACQUIRE(...) \
   SG_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-#define SG_ACQUIRE_SHARED(...) \
-  SG_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 
 // The function releases the capability (caller must hold it on entry).
 #define SG_RELEASE(...) \
   SG_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define SG_RELEASE_SHARED(...) \
-  SG_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
 
 // The function tries to acquire and reports success via its return value.
 #define SG_TRY_ACQUIRE(...) \
   SG_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-#define SG_TRY_ACQUIRE_SHARED(...) \
-  SG_THREAD_ANNOTATION_(try_acquire_shared_capability(__VA_ARGS__))
 
 // Caller must NOT hold the capability (anti-deadlock for self-locking APIs).
 #define SG_EXCLUDES(...) SG_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))

@@ -8,7 +8,7 @@
 #include "inject/inject.h"
 #include "obs/trace.h"
 #include "sync/seqcount.h"
-#include "sync/shared_read_lock.h"
+#include "sync/update_lock.h"
 
 namespace sg {
 

@@ -3,8 +3,10 @@
 // by all members of the group."
 //
 // Field correspondence with the paper's structure:
-//   s_region / s_acclck / s_updwait / s_acccnt / s_waitcnt
-//       -> space_ (vm::SharedSpace: the shared pregion list + SharedReadLock)
+//   s_region -> space_ (vm::SharedSpace: the shared pregion list)
+//   s_acccnt / s_waitcnt / s_updwait -> space_.lock(), an UpdateLock: the
+//       count, sleepers and condition variable of one Semaphore (no
+//       s_acclck: there is no reader count to guard, DESIGN.md §4c)
 //   s_plink / s_refcnt / s_listlock
 //       -> the member chain (through Proc::s_plink), refcnt_, listlock_
 //   s_fupdsema -> fupdsema_ (single-threads open-file-table updates; a

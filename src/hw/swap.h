@@ -1,8 +1,8 @@
 // SwapSpace — the paging device backing stolen page frames.
 //
-// §6.2 names the pager as the second reader of the shared read lock
+// §6.2 names the pager as the second scanner of the pregion list
 // ("operations that scan (page fault, pager)"); this module plus vm/pager.h
-// make that reader real: under memory pressure, resident pages whose frame
+// make that scanner real: under memory pressure, resident pages whose frame
 // is not otherwise shared are written to a swap slot and their frame is
 // freed; the next touch swaps them back in through the normal fault path.
 #ifndef SRC_HW_SWAP_H_

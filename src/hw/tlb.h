@@ -6,7 +6,7 @@
 // managed, the kernel can *synchronously* invalidate entries on every
 // processor before shrinking or detaching a shared region (§6.2) — a
 // running share-group member then immediately misses, enters the kernel,
-// and blocks on the shared read lock until the update completes.
+// and blocks on the group's update lock until the update completes.
 //
 // Each simulated process owns one Tlb (its translation context on whichever
 // processor runs it); a cross-processor shootdown is modelled by flushing

@@ -223,9 +223,7 @@ std::string Procfs::RenderGroup(u64 gid) const {
     if (!g.lock_name.empty()) {
       out += "lock.name " + g.lock_name + '\n';
     }
-    out += "lock.reads " + std::to_string(g.lock_reads) + '\n';
     out += "lock.updates " + std::to_string(g.lock_updates) + '\n';
-    out += "lock.read_waits " + std::to_string(g.lock_read_waits) + '\n';
     out += "lock.update_waits " + std::to_string(g.lock_update_waits) + '\n';
     out += "lock.update_wait.count " + std::to_string(g.lock_update_wait_count) + '\n';
     const u64 avg = g.lock_update_wait_count == 0

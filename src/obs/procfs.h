@@ -47,10 +47,8 @@ struct GroupStatus {
   u64 id = 0;
   u32 refcnt = 0;
   std::vector<i32> members;
-  std::string lock_name;  // SharedReadLock::name(), empty if unnamed
-  u64 lock_reads = 0;
+  std::string lock_name;  // UpdateLock::name(), empty if unnamed
   u64 lock_updates = 0;
-  u64 lock_read_waits = 0;
   u64 lock_update_waits = 0;
   u64 lock_update_wait_count = 0;   // per-lock writer wait histogram
   u64 lock_update_wait_sum_ns = 0;

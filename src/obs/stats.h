@@ -4,7 +4,7 @@
 // The paper's §7 analysis is qualitative ("overhead ... is negligible
 // except when detaching or shrinking regions") because the 1988 kernel had
 // no built-in way to measure itself. This registry closes that gap: every
-// hot path (shared read lock, TLB shootdown, fault/COW, sync-bit
+// hot path (update lock, TLB shootdown, fault/COW, sync-bit
 // propagation, syscall entry) increments a named counter, and /proc/stat
 // renders the whole registry for user processes.
 //

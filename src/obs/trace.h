@@ -30,8 +30,7 @@ enum class TraceKind : u16 {
   kPageFault,       // arg0 = faulting va, arg1 = want_write
   kCowBreak,        // arg0 = faulting va
   kTlbShootdown,    // arg0 = #TLBs flushed, arg1 = IPIs delivered
-  kLockReadWait,    // shared read lock: reader blocked behind an updater
-  kLockUpdateWait,  // shared read lock: updater blocked behind readers
+  kLockUpdateWait,  // UpdateLock: acquisition found the lock held
   kSemSleep,        // Semaphore::P went to sleep
   kResourceSync,    // §6.3 kernel-entry pull; arg0 = PR_S* mask of resources pulled
   kPagerSteal,      // arg0 = frames stolen

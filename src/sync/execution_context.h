@@ -3,10 +3,10 @@
 //
 // Every simulated process runs its user code (and the kernel code of its own
 // syscalls) on a host thread that holds a simulated-CPU slot while RUNNING.
-// When a kernel primitive must sleep (semaphore P, shared-read-lock wait,
-// pipe full/empty, wait(2)...), it releases the slot via WillBlock() so
-// another runnable process can execute, and reacquires it via DidWake()
-// after the host-level wait completes.
+// When a kernel primitive must sleep (semaphore P and the update lock
+// built on it, pipe full/empty, wait(2)...), it releases the slot via
+// WillBlock() so another runnable process can execute, and reacquires it
+// via DidWake() after the host-level wait completes.
 //
 // The context also carries the signal plumbing: interruptible sleeps poll
 // InterruptPending(), and posters of signals use the registered wakeup

@@ -21,26 +21,30 @@ Status Semaphore::P(SleepMode mode) {
         --count_;
         break;
       }
-      // Going to sleep. Register the wakeup channel *before* the final
-      // pending-signal check so a racing signal poster either sees the
-      // registration (and notifies cv_) or posted before the check below.
+      // Going to sleep. An interruptible sleep registers the wakeup channel
+      // *before* the final pending-signal check, so a racing signal poster
+      // either sees the registration (and notifies cv_) or posted before
+      // the check below. An uninterruptible sleep registers nothing, so no
+      // poster can reach a semaphore freed with its owner (a share group's
+      // update lock) after this sleeper left.
+      const bool interruptible = mode == SleepMode::kInterruptible && ctx != nullptr;
       if (ctx != nullptr) {
         ctx->WillBlock();
-        ctx->SetWakeup(&cv_, &m_);
       }
-      if (mode == SleepMode::kInterruptible && ctx != nullptr && ctx->InterruptPending()) {
-        if (ctx != nullptr) {
+      if (interruptible) {
+        ctx->SetWakeup(&cv_, &m_);
+        if (ctx->InterruptPending()) {
           ctx->ClearWakeup();
+          st = Errno::kEINTR;
+          break;
         }
-        st = Errno::kEINTR;
-        break;
       }
       slept = true;
       ++sleeps_;
       SG_OBS_INC("sync.sema_sleeps");
       obs::Trace(obs::TraceKind::kSemSleep);
       cv_.wait(l);
-      if (ctx != nullptr) {
+      if (interruptible) {
         ctx->ClearWakeup();
       }
     }

@@ -1,4 +1,4 @@
-// Kernel counting semaphore (the paper's `sema_t`: s_updwait, s_fupdsema).
+// Kernel counting semaphore (the paper's `sema_t`: s_updwait).
 //
 // P() sleeps when the count is zero, releasing the simulated CPU through the
 // current ExecutionContext; V() wakes sleepers. An interruptible P returns
@@ -22,8 +22,9 @@ enum class SleepMode {
 };
 
 // Capability annotations model the binary (mutex-style) use: initial count
-// 1, P/V strictly bracketed. The kernel itself holds no instance: the
-// paper's s_fupdsema is a spinlock here (core/shaddr.h).
+// 1, P/V strictly bracketed. The kernel's instances are the groups' update
+// locks (sync/update_lock.h); the paper's s_fupdsema is a spinlock here
+// (core/shaddr.h).
 // The annotations describe the uninterruptible path; an EINTR return from
 // an interruptible P does NOT hold the capability, so such call sites must
 // hand the result to clang explicitly (none exist in the kernel today).

@@ -3,10 +3,10 @@
 // DESIGN.md §4h).
 //
 // Writers are ALREADY serialized by some external lock (for the VM layout,
-// the group's SharedReadLock held for update); the counter only publishes
-// "a layout mutation is in progress / has happened" to readers that hold
-// no lock at all. The value is even when the layout is stable and odd
-// while a write section is open:
+// the group's UpdateLock); the counter only publishes "a layout mutation
+// is in progress / has happened" to readers that hold no lock at all. The
+// value is even when the layout is stable and odd while a write section is
+// open:
 //
 //   writer:  WriteBegin();  ...mutate + republish...  WriteEnd();
 //   reader:  u64 s;
@@ -82,7 +82,7 @@ class SG_CAPABILITY("seqcount") SeqCount {
   }
 
   // Current raw value (diagnostics, and generation stamps taken while the
-  // external update/read lock is held — the counter is frozen then, so the
+  // external update lock is held — the counter is frozen then, so the
   // value doubles as a layout generation number).
   u64 value() const { return seq_.load(std::memory_order_seq_cst); }
 

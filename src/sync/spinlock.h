@@ -1,5 +1,5 @@
 // Busy-wait spinlock, the kernel's short-critical-section lock (the paper's
-// `lock_t`: s_acclck, s_listlock, s_rupdlock).
+// `lock_t`: s_listlock, s_rupdlock, s_fupdsema).
 //
 // On the target machine spinlocks are hardware test-and-set loops; here we
 // use an atomic flag with a test-test-and-set loop and a pause hint. Holders

@@ -6,7 +6,7 @@
 #include "inject/inject.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
-#include "sync/shared_read_lock.h"
+#include "sync/update_lock.h"
 #include "vm/pager.h"
 
 namespace sg {
@@ -16,7 +16,7 @@ namespace {
 // One fault-resolution attempt; HandleFault wraps it with the reclaim loop.
 Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write);
 
-// Lockless lookup attempts before falling back to the ReadGuard path. Two
+// Lockless lookup attempts before falling back to the locked path. Two
 // retries absorb back-to-back layout bumps (e.g. an sbrk racing an mmap);
 // past that the fault stream is contending with a writer burst and blocking
 // on the lock is the honest thing to do.
@@ -86,7 +86,7 @@ Status ResolveAndMap(AddressSpace& as, Pregion& pr, vaddr_t va, bool want_write,
 // seqcount: unchanged means no mutation straddled the resolution and the
 // installed translation stands. A failed revalidation undoes our own TLB
 // entry and retries; retry exhaustion or an in-progress writer falls back
-// to the classic ReadGuard path — which blocks until the updater finishes,
+// to the group's update lock — which blocks until the updater finishes,
 // exactly how a member that trapped after a shootdown waits for the VM
 // modification to complete.
 //
@@ -179,14 +179,14 @@ Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write) SG_NO_THRE
     SG_INJECT_POINT("vm.fault.retry");
   }
 
-  // Fallback ladder, last rung: the classic path. Blocks while an updater
+  // Fallback ladder, last rung: the locked path. Blocks while an updater
   // holds the lock; writers are excluded for the whole resolution, so no
-  // revalidation is needed. The pregion lock is still taken — the pager
-  // steals from shared pregions under the READ side, so the steal/insert
-  // race exists here too.
+  // revalidation is needed. The pregion lock is still taken, as on the
+  // lockless path: lockless faulters keep resolving on this pregion beside
+  // us.
   SG_OBS_INC("vm.fault.fallbacks");
   SG_INJECT_POINT("vm.fault.fallback");
-  ReadGuard guard(ss->lock());
+  UpdateGuard guard(ss->lock());
   bool shared_pr = false;
   Pregion* pr = as.FindPregion(va, &shared_pr);
   if (pr == nullptr) {

@@ -1,13 +1,13 @@
 // User-memory access layer: every simulated user load/store translates
 // through the process's TLB and, on a miss, enters HandleFault — the page
-// fault path of §6.2 (take the shared read lock, scan private pregions then
-// shared, resolve the page, refill the TLB).
+// fault path of §6.2 (scan private pregions then shared, resolve the page,
+// refill the TLB; lockless for the shared image, DESIGN.md §4h).
 //
 // Access atomicity: the byte transfer runs under Tlb::WithEntry, so a
 // concurrent cross-processor shootdown orders strictly before or after any
 // in-flight access — exactly the guarantee the hardware TLB gives a real
 // kernel. After a shootdown, the next access misses, faults, and blocks on
-// the shared read lock until the updater releases it.
+// the group's update lock until the updater releases it.
 #ifndef SRC_VM_ACCESS_H_
 #define SRC_VM_ACCESS_H_
 

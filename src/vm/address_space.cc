@@ -2,7 +2,7 @@
 
 namespace sg {
 
-// Suppressed: holds the shared read lock only when a shared space is
+// Suppressed: holds the group's update lock only when a shared space is
 // attached (see FindByType).
 Pregion* AddressSpace::FindPregion(vaddr_t va, bool* out_shared) SG_NO_THREAD_SAFETY_ANALYSIS {
   Pregion* pr = FindPrivate(va);

@@ -58,12 +58,12 @@ class AddressSpace {
   // Finds the pregion containing `va`, private list first — so a private
   // page (PRDA, privately shadowed data) always wins over the shared image
   // (§6.2). `*out_shared` (may be null) is set when the result lives on
-  // the shared list. The caller holds the shared lock if a shared space is
-  // attached.
+  // the shared list. The caller holds the group's update lock if a shared
+  // space is attached.
   Pregion* FindPregion(vaddr_t va, bool* out_shared);
 
   // Finds a pregion by region type, scanning private then shared. The
-  // caller holds the shared lock if a shared space is attached — a
+  // caller holds the group's update lock if a shared space is attached — a
   // conditional precondition clang cannot express, hence the suppression
   // (the runtime lockdep validator covers these scans).
   Pregion* FindByType(RegionType type) SG_NO_THREAD_SAFETY_ANALYSIS {

@@ -2,7 +2,7 @@
 
 #include "obs/stats.h"
 #include "obs/trace.h"
-#include "sync/shared_read_lock.h"
+#include "sync/update_lock.h"
 
 namespace sg {
 
@@ -22,15 +22,15 @@ u64 ReclaimPages(AddressSpace& as, u64 target) {
   }
   SharedSpace* ss = as.shared();
   if (ss != nullptr && stolen < target) {
-    ReadGuard g(ss->lock());
+    UpdateGuard g(ss->lock());
     for (auto& pr : ss->pregions()) {
       if (stolen >= target) {
         break;
       }
-      // The pregion lock excludes concurrent faulters on this pregion
-      // (lockless or read-side): without it, a faulter could resolve a
-      // frame, lose the race to our flush-then-copy-out, and insert a
-      // stale translation to a frame we just swapped out.
+      // The pregion lock excludes concurrent lockless faulters on this
+      // pregion: without it, a faulter could resolve a frame, lose the
+      // race to our flush-then-copy-out, and insert a stale translation to
+      // a frame we just swapped out.
       MutexGuard pl(pr->lock);
       const u64 vpn0 = PageOf(pr->base);
       stolen += pr->region->StealPages(

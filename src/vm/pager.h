@@ -1,8 +1,7 @@
-// The pager — the second reader of the §6.2 shared read lock ("operations
-// that scan (page fault, pager)"). Under memory pressure it sweeps the
-// image visible to a faulting process with a two-handed clock, stealing
-// cold sole-owner pages to the swap device; the fault path retries after a
-// successful reclaim.
+// The pager — the second scanner of §6.2 ("operations that scan (page
+// fault, pager)"). Under memory pressure it sweeps the image visible to a
+// faulting process with a two-handed clock, stealing cold sole-owner pages
+// to the swap device; the fault path retries after a successful reclaim.
 #ifndef SRC_VM_PAGER_H_
 #define SRC_VM_PAGER_H_
 
@@ -13,10 +12,9 @@ namespace sg {
 
 // Steals up to `target` resident pages from the image visible to `as`: its
 // own private regions first (the calling thread owns that list), then the
-// group's shared list under the shared read lock, invalidating every
-// member's translation before a page leaves. Returns pages stolen. Safe to
-// call while already holding the shared read lock for read (the lock
-// admits recursive readers). No-op without an attached swap device.
+// group's shared list under the group's update lock, invalidating every
+// member's translation before a page leaves. Returns pages stolen. The
+// caller must not hold that lock. No-op without an attached swap device.
 u64 ReclaimPages(AddressSpace& as, u64 target);
 
 }  // namespace sg

@@ -30,10 +30,10 @@ struct Pregion {
   // Per-pregion lock (DESIGN.md §4h): a shared-list faulter holds it
   // across {Resolve, member flush, TLB insert} and the pager holds it
   // around StealPages, so a steal's flush-before-copy-out can never
-  // interleave with a resolve's insert-after-release (the stale-TLB
-  // read-side bug the group-wide read lock used to mask). Private-list
-  // pregions never need it — only the owner thread touches them. Lock
-  // order: [group read lock] -> pregion lock -> region lock -> TLB lock.
+  // interleave with a resolve's insert-after-release and leave a stale
+  // TLB entry. Private-list pregions never need it — only the owner thread
+  // touches them. Lock order: [group update lock] -> pregion lock ->
+  // region lock -> TLB lock.
   // Host-level (sg::Mutex): critical sections are one page's resolution.
   mutable Mutex lock;
 

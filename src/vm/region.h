@@ -9,9 +9,10 @@
 // source until either side writes.
 //
 // Locking: each region has its own lock covering its page table. Share-group
-// callers additionally hold the group's SharedReadLock around any scan that
-// reaches the region (see vm/fault.cc), which is the paper's fix for the
-// "implicit pointers into the region" problem of stock V.3.
+// callers reach the region either through the group's UpdateLock or, on the
+// lockless fault path, under an epoch pin (see vm/access.cc) — the two
+// forms of the paper's fix for the "implicit pointers into the region"
+// problem of stock V.3.
 #ifndef SRC_VM_REGION_H_
 #define SRC_VM_REGION_H_
 

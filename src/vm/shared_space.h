@@ -1,13 +1,13 @@
 // SharedSpace — the VM half of the paper's shared-address block: the common
-// pregion list of a share group, the shared read lock protecting every scan
+// pregion list of a share group, the update lock around every locked use
 // of it, the registry of member translation contexts (for cross-processor
 // TLB shootdowns), and the group's virtual-address allocator.
 //
 // It is owned by core::ShaddrBlock but lives in vm/ so the fault path does
 // not depend on the share-group layer.
 //
-// Lockless fault-path surface (DESIGN.md §4h). Since PR 7 the fault hot
-// path no longer takes the SharedReadLock at all:
+// Lockless fault-path surface (DESIGN.md §4h). The fault hot path takes
+// no lock at all:
 //
 //   * layout_seq() — a SeqCount bumped around every pregion-list,
 //     region-shape, or member-TLB-registry mutation. A lockless reader
@@ -40,7 +40,7 @@
 #include "hw/tlb.h"
 #include "inject/inject.h"
 #include "sync/seqcount.h"
-#include "sync/shared_read_lock.h"
+#include "sync/update_lock.h"
 #include "vm/layout.h"
 #include "vm/page_charge.h"
 #include "vm/pregion.h"
@@ -75,12 +75,12 @@ class SharedSpace {
   SharedSpace(const SharedSpace&) = delete;
   SharedSpace& operator=(const SharedSpace&) = delete;
 
-  // The paper's shared read lock. Hold for read around any scan of
-  // pregions(); hold for update around any modification of the list, a
-  // region resize, or a member TLB registry change. SG_RETURN_CAPABILITY
-  // lets clang see `ReadGuard g(space.lock())` as guarding the fields
-  // below even through this accessor.
-  SharedReadLock& lock() SG_RETURN_CAPABILITY(lock_) { return lock_; }
+  // The group's update lock (§6.2). Hold it around any locked scan of
+  // pregions() and any modification of the list, a region resize, or a
+  // member TLB registry change. SG_RETURN_CAPABILITY lets clang see
+  // `UpdateGuard g(space.lock())` as guarding the fields below even
+  // through this accessor.
+  UpdateLock& lock() SG_RETURN_CAPABILITY(lock_) { return lock_; }
 
   // ----- lockless reader surface (no lock held) -----
 
@@ -143,16 +143,16 @@ class SharedSpace {
     }
   }
 
-  // ----- locked scans (read side suffices) -----
+  // ----- locked scans -----
 
   // The shared pregion list (scan only — mutations go through the update
   // API below so the published snapshot can never go stale).
-  const std::vector<std::unique_ptr<Pregion>>& pregions() const SG_REQUIRES_SHARED(lock_) {
+  const std::vector<std::unique_ptr<Pregion>>& pregions() const SG_REQUIRES(lock_) {
     return pregions_;
   }
 
   // Finds the shared pregion containing `va`.
-  Pregion* Find(vaddr_t va) SG_REQUIRES_SHARED(lock_) {
+  Pregion* Find(vaddr_t va) SG_REQUIRES(lock_) {
     for (auto& pr : pregions_) {
       if (pr->Contains(va)) {
         return pr.get();
@@ -162,7 +162,7 @@ class SharedSpace {
   }
 
   // Finds the first shared pregion whose region has type `t`.
-  Pregion* FindByType(RegionType t) SG_REQUIRES_SHARED(lock_) {
+  Pregion* FindByType(RegionType t) SG_REQUIRES(lock_) {
     for (auto& pr : pregions_) {
       if (pr->region->type() == t) {
         return pr.get();
@@ -172,15 +172,15 @@ class SharedSpace {
   }
 
   template <typename Fn>
-  void ForEachPregion(Fn&& fn) SG_REQUIRES_SHARED(lock_) {
+  void ForEachPregion(Fn&& fn) SG_REQUIRES(lock_) {
     for (auto& pr : pregions_) {
       fn(*pr);
     }
   }
 
-  // ----- mutations (update side) -----
+  // ----- mutations -----
 
-  // Group VA allocator; callers hold the lock for update.
+  // Group VA allocator; callers hold the lock.
   VaAllocator& va() SG_REQUIRES(lock_) { return va_; }
 
   // Attaches `pr` to the shared image (the caller already claimed its VA
@@ -222,8 +222,8 @@ class SharedSpace {
   // right now (no waiting). Cheap enough for every attach.
   void TryReclaim() SG_REQUIRES(lock_);
 
-  // Member translation-context registry: update side to modify, at least
-  // read side to iterate. Both mutators bump the layout seqcount around the
+  // Member translation-context registry, under the lock to modify or
+  // iterate. Both mutators bump the layout seqcount around the
   // republish — so a lockless COW-break that flushed only the old member
   // set fails its revalidation and retries — and then wait for old-snapshot
   // readers to drain, so every in-flight flush either completed against the
@@ -231,21 +231,21 @@ class SharedSpace {
   // the new one.
   void AddMemberTlb(Tlb* tlb) SG_REQUIRES(lock_);
   void RemoveMemberTlb(Tlb* tlb) SG_REQUIRES(lock_);
-  const std::vector<Tlb*>& member_tlbs() const SG_REQUIRES_SHARED(lock_) {
+  const std::vector<Tlb*>& member_tlbs() const SG_REQUIRES(lock_) {
     return member_tlbs_;
   }
 
   // §6.2 shootdown: synchronously flush every member's translations on all
-  // processors. Caller holds the lock for update; any member that then
+  // processors. Caller holds the lock; any member that then
   // touches the space misses, enters the fault path, and (seeing the odd
   // seqcount or failing revalidation) lands on the lock.
   void ShootdownAll() SG_REQUIRES(lock_) { cpus_.SynchronousFlush(member_tlbs_); }
 
   // Page-granular invalidation used when a COW break in a shared region
   // replaces a frame: every member must drop its stale translation before
-  // the new frame becomes visible. Read side suffices — the page table
-  // entry itself is guarded by the region lock.
-  void FlushPageAllMembers(u64 vpn) SG_REQUIRES_SHARED(lock_) {
+  // the new frame becomes visible. The page table entry itself is guarded
+  // by the region lock.
+  void FlushPageAllMembers(u64 vpn) SG_REQUIRES(lock_) {
     for (Tlb* t : member_tlbs_) {
       t->FlushPage(vpn);
     }
@@ -282,7 +282,7 @@ class SharedSpace {
   // sgcheck:allow(guarded-fields): wired once (SetCharge) while the space
   // is still private to its creator, then read-only
   PageCharge* page_charge_ = nullptr;
-  SharedReadLock lock_;
+  UpdateLock lock_;
   SeqCount seq_{"vm.layout_seq"};
   std::atomic<const LayoutSnapshot*> snap_;  // never null after construction
 

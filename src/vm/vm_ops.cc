@@ -5,13 +5,13 @@
 #include "base/check.h"
 #include "base/thread_annotations.h"
 #include "sync/seqcount.h"
-#include "sync/shared_read_lock.h"
+#include "sync/update_lock.h"
 
 namespace sg {
 
 namespace {
 
-// Finds the data pregion. Caller holds the shared lock when `ss` != null.
+// Finds the data pregion. Caller holds the update lock when `ss` != null.
 Pregion* FindData(AddressSpace& as) { return as.FindByType(RegionType::kData); }
 
 }  // namespace
@@ -19,20 +19,6 @@ Pregion* FindData(AddressSpace& as) { return as.FindByType(RegionType::kData); }
 // Suppressed: the guard is conditional (std::optional, taken only when the
 // process shares VM), a shape clang's analysis cannot model. The runtime
 // lockdep validator covers these paths instead.
-Result<vaddr_t> CurrentBrk(AddressSpace& as) SG_NO_THREAD_SAFETY_ANALYSIS {
-  SharedSpace* ss = as.shared();
-  std::optional<ReadGuard> guard;
-  if (ss != nullptr) {
-    guard.emplace(ss->lock());
-  }
-  Pregion* data = FindData(as);
-  if (data == nullptr) {
-    return Errno::kEINVAL;
-  }
-  return data->base + data->bytes();
-}
-
-// Suppressed: conditional std::optional guard (see CurrentBrk).
 Result<vaddr_t> Sbrk(AddressSpace& as, i64 delta, u64 max_data_pages) SG_NO_THREAD_SAFETY_ANALYSIS {
   SharedSpace* ss = as.shared();
   // Any resize is a VM-image update: exclude all concurrent faulters so the
@@ -159,7 +145,7 @@ Status Unmap(AddressSpace& as, vaddr_t base) {
   return Status::Ok();
 }
 
-// Suppressed: conditional std::optional guard (see CurrentBrk).
+// Suppressed: conditional std::optional guard (see Sbrk).
 Status DuplicateForFork(AddressSpace& parent, AddressSpace& child) SG_NO_THREAD_SAFETY_ANALYSIS {
   SG_CHECK(child.shared() == nullptr);
   SharedSpace* ss = parent.shared();

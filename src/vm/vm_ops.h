@@ -1,6 +1,6 @@
 // VM-image operations: the "relatively rare" pregion-list updaters of §6.2
 // (sbrk, mmap/munmap-style attach/detach, fork duplication). Each follows
-// the paper's protocol: take the shared read lock FOR UPDATE, perform the
+// the paper's protocol: take the group's update lock, perform the
 // synchronous all-processor TLB flush before any page is freed or
 // write-protected, then modify the list/region.
 #ifndef SRC_VM_VM_OPS_H_
@@ -17,11 +17,8 @@ namespace sg {
 // Grows (delta>0) or shrinks (delta<0) the data region by |delta| bytes
 // rounded to whole pages; returns the previous break address. Shrinking a
 // group-shared data region performs the §6.2 shootdown. `max_data_pages`
-// bounds growth (0 = unlimited).
+// bounds growth (0 = unlimited). `Sbrk(as, 0)` reads the current break.
 Result<vaddr_t> Sbrk(AddressSpace& as, i64 delta, u64 max_data_pages = 0);
-
-// Current break (end of the data region).
-Result<vaddr_t> CurrentBrk(AddressSpace& as);
 
 // Anonymous mapping (mmap-like): allocates a fresh demand-zero region of
 // `bytes` (page-rounded) and attaches it — into the group-shared list when

@@ -1,7 +1,7 @@
 // §6.2 virtual-space sharing: immediate visibility of VM-image updates,
-// the shared read lock around scans, the synchronous TLB shootdown on
-// shrink/detach, and copy-on-write interactions between a group and its
-// fork children.
+// lockless fault scans beside the update lock, the synchronous TLB
+// shootdown on shrink/detach, and copy-on-write interactions between a
+// group and its fork children.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -202,10 +202,10 @@ TEST(VmShare, TlbMissesRefillThroughSharedList) {
     for (u64 i = 0; i < 8; ++i) {
       env.Store32(a + i * kPageSize, static_cast<u32>(i));
     }
-    // Each first touch is a miss -> fault -> shared-image resolution. Since
-    // PR 7 (DESIGN.md §4h) the resolution validates against the layout
-    // seqcount instead of taking the group lock's read side; with no writer
-    // racing, every one of these resolves on the lockless path.
+    // Each first touch is a miss -> fault -> shared-image resolution. The
+    // resolution validates against the layout seqcount instead of taking
+    // the group lock (DESIGN.md §4h); with no writer racing, every one of
+    // these resolves on the lockless path.
     EXPECT_GE(stats.CounterValue("vm.fault.lockless_hits") - lockless_before, 8u);
     const u64 hits_before = env.proc().as.tlb().hits();
     for (u64 i = 0; i < 8; ++i) {

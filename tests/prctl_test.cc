@@ -75,7 +75,7 @@ TEST(Prctl, SmallStackChildGetsExactlyConfiguredStack) {
           // in a NEIGHBOR's group-visible stack, so probe the size, and
           // fault below the base where nothing is mapped).
           SharedSpace& ss = c.proc().shaddr->space();
-          ReadGuard g(ss.lock());
+          UpdateGuard g(ss.lock());
           Pregion* pr = ss.Find(base);
           ASSERT_NE(pr, nullptr);
           EXPECT_EQ(pr->region->pages(), 2u);

@@ -1,7 +1,7 @@
 // The paging subsystem: swap-device mechanics, clock stealing, transparent
 // fault-path reclaim, and data integrity under thrash — including a share
-// group where the pager and faulting members contend for the §6.2 shared
-// read lock ("operations that scan (page fault, pager)").
+// group where the pager (on the group's update lock) and faulting members
+// scan the same pregion list ("operations that scan (page fault, pager)").
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -6,7 +6,7 @@
 // vm.fault.undo (revalidation failed, the possibly-stale TLB entry still
 // installed, the epoch guard still pinning the updater's quiescence wait),
 // vm.fault.retry (after the undo flush) and vm.fault.fallback (entering
-// the classic ReadGuard path) — plus vm.layout.await_drain in the
+// the locked path on the group's update lock) — plus vm.layout.await_drain in the
 // writer's quiescence wait and vm.epoch.enter inside an epoch reader's
 // registration (EpochPinSurvivesParityFlip). A stale-pregion dereference,
 // a stale TLB entry surviving a shootdown, or a leaked frame shows up as
@@ -32,7 +32,7 @@
 #include "obs/stats.h"
 #include "sync/lockdep.h"
 #include "sync/seqcount.h"
-#include "sync/shared_read_lock.h"
+#include "sync/update_lock.h"
 #include "vm/shared_space.h"
 
 #if defined(__SANITIZE_THREAD__)
@@ -195,7 +195,7 @@ void RunVmStorm(u64 seed, const inject::PlanConfig& cfg) {
   // no graveyard pregion leaked its region's pages or their group charge.
   EXPECT_EQ(k.mem().FreeFrames(), free_at_boot);
   // Under the lockdep preset every schedule must keep the lock-order graph
-  // acyclic — the pregion lock nests inside the group lock's read side on
+  // acyclic — the pregion lock nests inside the group's update lock on
   // the fallback path and stands alone on the lockless path.
   EXPECT_EQ(lockdep::Reports(), 0u) << lockdep::RenderReport();
 }

@@ -2,8 +2,15 @@
 // allocator, address-space scan order, the fault path, and accesses.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <memory>
+#include <thread>
+#include <vector>
 
+#include "obs/stats.h"
+#include "sync/seqcount.h"
 #include "vm/access.h"
 #include "vm/address_space.h"
 #include "vm/layout.h"
@@ -232,7 +239,7 @@ TEST(Lookup, SharedHintInvalidatedByImageUpdate) {
         Region::Alloc(mem, RegionType::kAnon, 1), kArenaBase, kProtRw));
   }
   {
-    ReadGuard g(ss.lock());
+    UpdateGuard g(ss.lock());
     bool shared = false;
     Pregion* first = as.FindPregion(kArenaBase, &shared);
     ASSERT_NE(first, nullptr);
@@ -248,7 +255,7 @@ TEST(Lookup, SharedHintInvalidatedByImageUpdate) {
         Region::Alloc(mem, RegionType::kAnon, 2), kArenaBase, kProtRw));
   }
   {
-    ReadGuard g(ss.lock());
+    UpdateGuard g(ss.lock());
     Pregion* second = as.FindPregion(kArenaBase, nullptr);
     ASSERT_NE(second, nullptr);
     EXPECT_EQ(second->region->pages(), 2u);  // the new pregion
@@ -270,16 +277,16 @@ TEST(Lookup, PrivateHintDroppedOnDetach) {
 
 TEST(VmOps, SbrkGrowShrinkRoundTrip) {
   Fixture f;
-  auto brk0 = CurrentBrk(f.as);
+  auto brk0 = Sbrk(f.as, 0);
   ASSERT_TRUE(brk0.ok());
   auto old = Sbrk(f.as, static_cast<i64>(2 * kPageSize));
   ASSERT_TRUE(old.ok());
   EXPECT_EQ(old.value(), brk0.value());
-  EXPECT_EQ(CurrentBrk(f.as).value(), brk0.value() + 2 * kPageSize);
+  EXPECT_EQ(Sbrk(f.as, 0).value(), brk0.value() + 2 * kPageSize);
   ASSERT_TRUE(Store<u32>(f.as, brk0.value(), 7).ok());
   auto back = Sbrk(f.as, -static_cast<i64>(2 * kPageSize));
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(CurrentBrk(f.as).value(), brk0.value());
+  EXPECT_EQ(Sbrk(f.as, 0).value(), brk0.value());
   // The shrunk range faults again.
   EXPECT_EQ(Load<u32>(f.as, brk0.value()).error(), Errno::kEFAULT);
 }
@@ -328,6 +335,122 @@ TEST(VmOps, OutOfFramesSurfacesEnomem) {
   ASSERT_TRUE(Store<u32>(as, kDataBase, 1).ok());
   ASSERT_TRUE(Store<u32>(as, kDataBase + kPageSize, 2).ok());
   EXPECT_EQ(Store<u32>(as, kDataBase + 2 * kPageSize, 3).error(), Errno::kENOMEM);
+}
+
+// The two §6.2 behaviours the group's update lock carries for faults: a
+// member that traps during an update waits until it completes, and an
+// update completes against faulters that never stop.
+
+// An open layout write section sends a faulter past the lockless path to
+// the update lock, where it must wait until the updater releases.
+TEST(FaultFallback, BlocksUntilUpdaterReleases) {
+  PhysMem mem(16 * kPageSize);
+  CpuSet cpus(2);
+  SharedSpace ss(cpus);
+  AddressSpace updater(mem);
+  AddressSpace faulter(mem);
+  updater.set_shared(&ss);
+  faulter.set_shared(&ss);
+  {
+    UpdateGuard g(ss.lock());
+    ss.AddMemberTlb(&updater.tlb());
+    ss.AddMemberTlb(&faulter.tlb());
+  }
+  auto base = MapAnon(updater, kPageSize);
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(Store<u32>(updater, base.value(), 0x5eed).ok());
+
+  obs::Stats& stats = obs::Stats::Global();
+  const u64 fallbacks0 = stats.CounterValue("vm.fault.fallbacks");
+  std::atomic<bool> done{false};
+  Result<u32> got = Errno::kEFAULT;
+  std::thread t;
+  {
+    UpdateGuard g(ss.lock());
+    SeqWriter w(ss.layout_seq());
+    t = std::thread([&] {
+      got = Load<u32>(faulter, base.value());
+      done = true;
+    });
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (stats.CounterValue("vm.fault.fallbacks") == fallbacks0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_GT(stats.CounterValue("vm.fault.fallbacks"), fallbacks0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_FALSE(done.load()) << "the fallback faulter did not wait for the updater";
+  }
+  t.join();
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), 0x5eedu);
+}
+
+// Faulters refault a shared page as fast as they can while one updater
+// maps and unmaps. Every cycle must finish while the stream still runs: if
+// the faulters (lockless, or queued on the lock behind an update) could
+// starve the updater, this test never terminates.
+TEST(FaultFallback, UpdaterFinishesAgainstContinuousFaultStream) {
+  PhysMem mem(64 * kPageSize);
+  CpuSet cpus(4);
+  SharedSpace ss(cpus);
+  constexpr int kFaulters = 3;
+  constexpr int kCycles = 300;
+  std::vector<std::unique_ptr<AddressSpace>> members;
+  for (int i = 0; i < kFaulters + 1; ++i) {
+    members.push_back(std::make_unique<AddressSpace>(mem));
+    members.back()->set_shared(&ss);
+  }
+  {
+    UpdateGuard g(ss.lock());
+    for (auto& m : members) {
+      ss.AddMemberTlb(&m->tlb());
+    }
+  }
+  AddressSpace& updater = *members[0];
+  auto base = MapAnon(updater, kPageSize);
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(Store<u32>(updater, base.value(), 7).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<u64> loads{0};
+  std::atomic<bool> bad_load{false};
+  std::vector<std::thread> faulters;
+  for (int i = 1; i <= kFaulters; ++i) {
+    faulters.emplace_back([&, i] {
+      AddressSpace& as = *members[static_cast<size_t>(i)];
+      while (!stop.load(std::memory_order_relaxed)) {
+        as.tlb().FlushAll();  // every load faults
+        auto v = Load<u32>(as, base.value());
+        if (!v.ok() || v.value() != 7) {
+          bad_load = true;
+        }
+        loads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (loads.load() == 0) {
+    std::this_thread::yield();
+  }
+  const u64 updates0 = ss.lock().updates();
+  int cycles = 0;
+  for (; cycles < kCycles; ++cycles) {
+    auto a = MapAnon(updater, kPageSize);
+    if (!a.ok() || !Store<u32>(updater, a.value(), 1).ok() || !Unmap(updater, a.value()).ok()) {
+      break;
+    }
+  }
+  // All cycles completed while the faulters were still streaming. (How
+  // many loads they managed meanwhile depends on host scheduling, so it is
+  // not checked.)
+  EXPECT_EQ(cycles, kCycles);
+  EXPECT_FALSE(stop.load());
+  stop = true;
+  for (auto& t : faulters) {
+    t.join();
+  }
+  EXPECT_FALSE(bad_load.load());
+  EXPECT_GE(ss.lock().updates() - updates0, static_cast<u64>(2 * kCycles));
 }
 
 }  // namespace

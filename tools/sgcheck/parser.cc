@@ -363,7 +363,7 @@ struct StructureScanner {
   void MaybeRecordAccessor(const std::vector<size_t>& head, size_t paren,
                            const std::string& name) {
     static const std::set<std::string> kCapTypes = {
-        "Spinlock", "SeqCount", "SharedReadLock", "Semaphore", "Mutex"};
+        "Spinlock", "SeqCount", "UpdateLock", "SharedReadLock", "Semaphore", "Mutex"};
     if (paren + 1 < head.size() && !IsP(f, head[paren + 1], ")")) return;
     std::string ret;
     for (size_t k = 0; k + 1 < paren && k < head.size(); ++k) {
@@ -764,12 +764,10 @@ struct BodyWalker {
     }
     // Sleeping RAII guards: their constructors block, which a call-site scan
     // would miss. Record a synthetic call so R1 sees the acquisition.
-    if (type_last == "ReadGuard" || type_last == "UpdateGuard" ||
-        type_last == "MutexGuard" || type_last == "lock_guard" ||
-        type_last == "unique_lock" || type_last == "scoped_lock") {
-      const char* via = type_last == "ReadGuard"     ? "AcquireRead"
-                        : type_last == "UpdateGuard" ? "AcquireUpdate"
-                                                     : "MutexLock";
+    if (type_last == "UpdateGuard" || type_last == "MutexGuard" ||
+        type_last == "lock_guard" || type_last == "unique_lock" ||
+        type_last == "scoped_lock") {
+      const char* via = type_last == "UpdateGuard" ? "AcquireUpdate" : "MutexLock";
       fn.calls.push_back(CallSite{via, line, CurMask(), CtxDesc()});
     }
     if (EpochScope() >= 0 && saw_ptr &&
@@ -890,8 +888,8 @@ struct BodyWalker {
       if (it != prog.method_requires.end()) req = it->second;
     }
     // Resolve each required capability against the enclosing class's own
-    // fields first — `lock_` names a Spinlock in one class and a
-    // SharedReadLock in another, and only the former is a no-sleep context.
+    // fields first — `lock_` names a Spinlock in one class and an
+    // UpdateLock in another, and only the former is a no-sleep context.
     std::string cls_name = fn.qual;
     const size_t cut = cls_name.rfind("::");
     cls_name = cut == std::string::npos ? "" : cls_name.substr(0, cut);

@@ -22,9 +22,8 @@ namespace {
 const std::set<std::string> kBlockingRoots = {
     "MaySleep",        "BlockOn",       "FinishSleep",   "DidWake",
     "wait",            "wait_for",      "wait_until",    "sleep_for",
-    "sleep_until",     "P",             "Arrive",        "AcquireRead",
-    "AcquireUpdate",   "AwaitQuiescent", "WriteBack",
-    "SleepUntilReleased", "MutexLock",
+    "sleep_until",     "P",             "Arrive",        "AcquireUpdate",
+    "AwaitQuiescent",  "WriteBack",     "MutexLock",
 };
 
 bool StartsWith(const std::string& s, const char* pre) {
@@ -204,7 +203,7 @@ void SleepInAtomic(Program& prog, std::vector<Diag>& out) {
 
 // Capability types: lock words themselves, never data they protect.
 const std::set<std::string> kCapabilityTypes = {
-    "Spinlock", "Mutex",  "SharedReadLock", "Semaphore", "SeqCount",
+    "Spinlock", "Mutex",  "UpdateLock", "SharedReadLock", "Semaphore", "SeqCount",
     "Barrier",  "mutex",  "condition_variable", "condition_variable_any",
     "shared_mutex", "once_flag",
 };
