@@ -3,7 +3,6 @@
 
 #include "api/user_env.h"
 #include "base/check.h"
-#include "base/log.h"
 #include "inject/inject.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
@@ -77,7 +76,6 @@ std::vector<obs::GroupStatus> Kernel::SnapshotGroups() {
       g.refcnt = owned->refcnt();
       owned->ForEachMember([&](Proc& m) { g.members.push_back(m.pid); });
       const UpdateLock& lk = owned->space().lock();
-      g.lock_name = lk.name();
       g.lock_updates = lk.updates();
       g.lock_update_waits = lk.update_waits();
       g.lock_update_wait_count = lk.update_wait_histo().count();

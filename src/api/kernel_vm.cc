@@ -99,7 +99,7 @@ Status Kernel::Msync(Proc& p, vaddr_t base) {
     if (ss != nullptr) {
       guard.emplace(ss->lock());
     }
-    Pregion* pr = p.as.FindPregion(base, /*out_shared=*/nullptr);
+    Pregion* pr = p.as.FindPregion(base);
     if (pr != nullptr && pr->base == base && pr->region->NeedsWriteBack()) {
       target = pr->region;
     }

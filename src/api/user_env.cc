@@ -1,12 +1,10 @@
 #include "api/user_env.h"
 
-#include "base/log.h"
 #include "proc/deliver.h"
 
 namespace sg {
 
-void Env::MemoryFault(Errno e) {
-  SG_LOG_DEBUG("pid %d: memory fault (%s)", static_cast<int>(p_.pid), ErrnoName(e));
+void Env::MemoryFault() {
   p_.PostSignal(kSigSegv);
   DeliverPendingSignals(p_);  // default disposition terminates
   // A handler may catch SIGSEGV; classic semantics would restart the

@@ -162,7 +162,7 @@ class Env {
   T Load(vaddr_t va) {
     auto r = sg::Load<T>(p_.as, va);
     if (!r.ok()) {
-      MemoryFault(r.error());
+      MemoryFault();
     }
     return r.value();
   }
@@ -170,7 +170,7 @@ class Env {
   void Store(vaddr_t va, T value) {
     Status st = sg::Store<T>(p_.as, va, value);
     if (!st.ok()) {
-      MemoryFault(st.error());
+      MemoryFault();
     }
   }
   u32 Load32(vaddr_t va) { return Load<u32>(va); }
@@ -180,7 +180,7 @@ class Env {
   u32 FetchAdd32(vaddr_t va, u32 delta) {
     auto r = AtomicFetchAdd32(p_.as, va, delta);
     if (!r.ok()) {
-      MemoryFault(r.error());
+      MemoryFault();
     }
     return r.value();
   }
@@ -188,21 +188,21 @@ class Env {
   bool Cas32(vaddr_t va, u32 expected, u32 desired) {
     auto r = AtomicCas32(p_.as, va, expected, desired);
     if (!r.ok()) {
-      MemoryFault(r.error());
+      MemoryFault();
     }
     return r.value() == expected;
   }
   u32 AtomicRead32(vaddr_t va) {
     auto r = AtomicLoad32(p_.as, va);
     if (!r.ok()) {
-      MemoryFault(r.error());
+      MemoryFault();
     }
     return r.value();
   }
   void AtomicWrite32(vaddr_t va, u32 v) {
     Status st = AtomicStore32(p_.as, va, v);
     if (!st.ok()) {
-      MemoryFault(st.error());
+      MemoryFault();
     }
   }
 
@@ -282,7 +282,7 @@ class Env {
 
   // A failed user memory access: post SIGSEGV to ourselves and take the
   // kernel-entry path so it is delivered (default: terminate).
-  [[noreturn]] void MemoryFault(Errno e);
+  [[noreturn]] void MemoryFault();
 
   Kernel& k_;
   Proc& p_;

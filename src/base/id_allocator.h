@@ -43,7 +43,6 @@ class IdAllocator {
   }
 
   i64 InUse() const { return (next_fresh_ - first_) - static_cast<i64>(free_.size()); }
-  i64 Capacity() const { return capacity_; }
 
  private:
   i64 first_;

@@ -7,7 +7,7 @@
 // wait) use this wrapper instead, making their GUARDED_BY fields
 // machine-checked: the obs stats registry, procfs node maps, per-process
 // signal actions. Structures that sleep on a condition variable
-// (Semaphore, wait channels) keep std::mutex —
+// (the update lock, wait channels) keep std::mutex —
 // std::condition_variable demands it — and document their guards in
 // comments instead.
 //

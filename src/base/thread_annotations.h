@@ -25,7 +25,7 @@
 
 // Marks a class as a capability: something that can be held, and whose
 // holding other annotations can reference. The string names the kind in
-// diagnostics ("spinlock", "semaphore", "update_lock", "mutex").
+// diagnostics ("spinlock", "update_lock", "mutex").
 #define SG_CAPABILITY(x) SG_THREAD_ANNOTATION_(capability(x))
 
 // Marks an RAII class whose constructor acquires and destructor releases.

@@ -1,7 +1,6 @@
 #include "core/shaddr.h"
 
 #include <algorithm>
-#include <string>
 
 #include "base/check.h"
 #include "core/share_mask.h"
@@ -56,9 +55,6 @@ ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceMana
     space_.AddMemberTlb(&creator.as.tlb());
   }
   creator.as.set_shared(&space_);
-  // Per-group lock stats: /proc/stat grows sharedlock.group<id>.* lines and
-  // /proc/share/<id> reports this lock, not just the process-wide aggregate.
-  space_.lock().SetName("group" + std::to_string(id_));
 
   // Seed the master resource copies, bumping the block's own references.
   // Slots start at kFirstGen, the fds generation the creator is seeded
@@ -198,24 +194,24 @@ Status ShaddrBlock::UnshareVm(Proc& p) {
   // pre-marking page table fails its re-check and undoes it.
   {
     SeqWriter w(space_.layout_seq());
-    space_.ForEachPregion([&](Pregion& pr) {
+    for (const Pregion* pr : space_.locked_layout().pregions) {
       std::shared_ptr<Region> r;
-      switch (pr.region->type()) {
+      switch (pr->region->type()) {
         case RegionType::kText:
         case RegionType::kShm:
-          r = pr.region;
+          r = pr->region;
           break;
         default:
-          r = pr.region->DupCow();
+          r = pr->region->DupCow();
           break;
       }
-      auto copy = std::make_unique<Pregion>(std::move(r), pr.base, pr.prot);
-      copy->stack_owner = pr.stack_owner;
-      if (pr.base >= kArenaBase) {
-        SG_CHECK(p.as.va().Reserve(pr.base, pr.region->pages()).ok());
+      auto copy = std::make_unique<Pregion>(std::move(r), pr->base, pr->prot);
+      copy->stack_owner = pr->stack_owner;
+      if (pr->base >= kArenaBase) {
+        SG_CHECK(p.as.va().Reserve(pr->base, pr->region->pages()).ok());
       }
       p.as.AttachPrivate(std::move(copy));
-    });
+    }
     // COW marking revoked write permission group-wide; the moved stack
     // vanished from the shared image: flush everyone, then detach.
     space_.ShootdownAll();
@@ -230,7 +226,7 @@ Status ShaddrBlock::UnshareVm(Proc& p) {
 Status ShaddrBlock::ShadowDataPrivately(Proc& p) {
   SG_CHECK(p.as.shared() == &space_);
   UpdateGuard g(space_.lock());
-  Pregion* data = space_.FindByType(RegionType::kData);
+  Pregion* data = space_.locked_layout().FindByType(RegionType::kData);
   if (data == nullptr) {
     return Errno::kEINVAL;
   }

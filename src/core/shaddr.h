@@ -4,9 +4,9 @@
 //
 // Field correspondence with the paper's structure:
 //   s_region -> space_ (vm::SharedSpace: the shared pregion list)
-//   s_acccnt / s_waitcnt / s_updwait -> space_.lock(), an UpdateLock: the
-//       count, sleepers and condition variable of one Semaphore (no
-//       s_acclck: there is no reader count to guard, DESIGN.md §4c)
+//   s_acccnt / s_waitcnt / s_updwait -> space_.lock(), an UpdateLock: its
+//       held_ flag, its BlockOn sleepers and its cv_ (no s_acclck: there
+//       is no reader count to guard, DESIGN.md §4c)
 //   s_plink / s_refcnt / s_listlock
 //       -> the member chain (through Proc::s_plink), refcnt_, listlock_
 //   s_fupdsema -> fupdsema_ (single-threads open-file-table updates; a

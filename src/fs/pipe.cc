@@ -7,7 +7,7 @@
 
 namespace sg {
 
-Result<u64> Pipe::Read(std::byte* out, u64 len, SleepMode mode) {
+Result<u64> Pipe::Read(std::byte* out, u64 len) {
   if (len == 0) {
     return u64{0};
   }
@@ -15,8 +15,8 @@ Result<u64> Pipe::Read(std::byte* out, u64 len, SleepMode mode) {
   Result<u64> result = u64{0};
   {
     std::unique_lock<std::mutex> l(mu_);
-    const Status st =
-        BlockOn(cv_, l, mode, &slept, [&] { return size_ > 0 || writers_ == 0; });
+    const Status st = BlockOn(cv_, l, SleepMode::kInterruptible, &slept,
+                              [&] { return size_ > 0 || writers_ == 0; });
     if (!st.ok()) {
       result = st.error();
     } else if (size_ == 0) {
@@ -36,7 +36,7 @@ Result<u64> Pipe::Read(std::byte* out, u64 len, SleepMode mode) {
   return result;
 }
 
-Result<u64> Pipe::Write(const std::byte* src, u64 len, SleepMode mode) {
+Result<u64> Pipe::Write(const std::byte* src, u64 len) {
   u64 written = 0;
   bool slept_any = false;
   Status st = Status::Ok();
@@ -44,7 +44,8 @@ Result<u64> Pipe::Write(const std::byte* src, u64 len, SleepMode mode) {
     std::unique_lock<std::mutex> l(mu_);
     while (written < len) {
       bool slept = false;
-      st = BlockOn(cv_, l, mode, &slept, [&] { return size_ < kCapacity || readers_ == 0; });
+      st = BlockOn(cv_, l, SleepMode::kInterruptible, &slept,
+                   [&] { return size_ < kCapacity || readers_ == 0; });
       slept_any = slept_any || slept;
       if (!st.ok()) {
         break;

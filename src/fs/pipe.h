@@ -11,7 +11,6 @@
 
 #include "base/result.h"
 #include "base/types.h"
-#include "sync/semaphore.h"  // SleepMode
 
 namespace sg {
 
@@ -25,11 +24,11 @@ class Pipe {
 
   // Reads up to `len` bytes; blocks while the pipe is empty and writers
   // remain. Returns 0 at EOF (empty and no writers), kEINTR if interrupted.
-  Result<u64> Read(std::byte* out, u64 len, SleepMode mode = SleepMode::kInterruptible);
+  Result<u64> Read(std::byte* out, u64 len);
 
   // Writes `len` bytes, blocking while full; kEPIPE once no readers remain
   // (the caller posts SIGPIPE). Partial writes happen only on interruption.
-  Result<u64> Write(const std::byte* src, u64 len, SleepMode mode = SleepMode::kInterruptible);
+  Result<u64> Write(const std::byte* src, u64 len);
 
   // Endpoint accounting, driven by open-file reference management.
   void AddReader();

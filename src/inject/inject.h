@@ -28,7 +28,7 @@
 // -DSG_INJECT=OFF (the benches insist on it; see bench/run_benches.sh).
 //
 // Layering: depends only on base/ and obs/ so every layer from sync/ up
-// (spinlock, semaphore, update lock, shaddr, the kernel) may plant
+// (spinlock, update lock, shaddr, the kernel) may plant
 // points.
 #ifndef SRC_INJECT_INJECT_H_
 #define SRC_INJECT_INJECT_H_

@@ -6,7 +6,7 @@
 
 namespace sg {
 
-Status SysvSem::Op(i64 delta, SleepMode mode) {
+Status SysvSem::Op(i64 delta) {
   if (delta == 0) {
     return Errno::kEINVAL;
   }
@@ -26,7 +26,8 @@ Status SysvSem::Op(i64 delta, SleepMode mode) {
   Status st = Status::Ok();
   {
     std::unique_lock<std::mutex> l(mu_);
-    st = BlockOn(cv_, l, mode, &slept, [&] { return removed_ || value_ >= need; });
+    st = BlockOn(cv_, l, SleepMode::kInterruptible, &slept,
+                 [&] { return removed_ || value_ >= need; });
     if (st.ok()) {
       if (removed_) {
         st = Errno::kEIDRM;
@@ -52,7 +53,7 @@ i64 SysvSem::value() const {
   return value_;
 }
 
-Status SysvMsgQueue::Send(std::span<const std::byte> msg, SleepMode mode) {
+Status SysvMsgQueue::Send(std::span<const std::byte> msg) {
   if (msg.size() > kMaxBytes) {
     return Errno::kEINVAL;
   }
@@ -60,7 +61,7 @@ Status SysvMsgQueue::Send(std::span<const std::byte> msg, SleepMode mode) {
   Status st = Status::Ok();
   {
     std::unique_lock<std::mutex> l(mu_);
-    st = BlockOn(cv_, l, mode, &slept,
+    st = BlockOn(cv_, l, SleepMode::kInterruptible, &slept,
                  [&] { return removed_ || bytes_ + msg.size() <= kMaxBytes; });
     if (st.ok()) {
       if (removed_) {
@@ -76,12 +77,13 @@ Status SysvMsgQueue::Send(std::span<const std::byte> msg, SleepMode mode) {
   return st;
 }
 
-Result<u64> SysvMsgQueue::Receive(std::span<std::byte> out, SleepMode mode) {
+Result<u64> SysvMsgQueue::Receive(std::span<std::byte> out) {
   bool slept = false;
   Result<u64> result = u64{0};
   {
     std::unique_lock<std::mutex> l(mu_);
-    const Status st = BlockOn(cv_, l, mode, &slept, [&] { return removed_ || !msgs_.empty(); });
+    const Status st = BlockOn(cv_, l, SleepMode::kInterruptible, &slept,
+                              [&] { return removed_ || !msgs_.empty(); });
     if (!st.ok()) {
       result = st.error();
     } else if (removed_) {
@@ -107,11 +109,6 @@ void SysvMsgQueue::MarkRemoved() {
     removed_ = true;
   }
   cv_.notify_all();
-}
-
-u64 SysvMsgQueue::QueuedBytes() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return bytes_;
 }
 
 Result<int> SysvIpc::ShmGet(i32 key, u64 bytes) {

@@ -19,7 +19,6 @@
 #include "base/result.h"
 #include "base/types.h"
 #include "hw/phys_mem.h"
-#include "sync/semaphore.h"  // SleepMode
 #include "vm/region.h"
 
 namespace sg {
@@ -33,7 +32,7 @@ class SysvSem {
   // delta < 0: P-type — sleeps until value >= |delta| (kernel interaction,
   // the §2 cost). delta > 0: V-type — adds and wakes. delta == 0: waits for
   // zero (unsupported here: kEINVAL).
-  Status Op(i64 delta, SleepMode mode = SleepMode::kInterruptible);
+  Status Op(i64 delta);
 
   void MarkRemoved();
   i64 value() const;
@@ -50,15 +49,14 @@ class SysvMsgQueue {
  public:
   static constexpr u64 kMaxBytes = 16384;  // MSGMNB-style queue capacity
 
-  Status Send(std::span<const std::byte> msg, SleepMode mode = SleepMode::kInterruptible);
+  Status Send(std::span<const std::byte> msg);
   // Receives the oldest message into `out`; kE2BIG if it does not fit.
-  Result<u64> Receive(std::span<std::byte> out, SleepMode mode = SleepMode::kInterruptible);
+  Result<u64> Receive(std::span<std::byte> out);
 
   void MarkRemoved();
-  u64 QueuedBytes() const;
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::vector<std::byte>> msgs_;
   u64 bytes_ = 0;

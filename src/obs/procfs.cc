@@ -220,9 +220,6 @@ std::string Procfs::RenderGroup(u64 gid) const {
       }
       out += '\n';
     }
-    if (!g.lock_name.empty()) {
-      out += "lock.name " + g.lock_name + '\n';
-    }
     out += "lock.updates " + std::to_string(g.lock_updates) + '\n';
     out += "lock.update_waits " + std::to_string(g.lock_update_waits) + '\n';
     out += "lock.update_wait.count " + std::to_string(g.lock_update_wait_count) + '\n';

@@ -7,7 +7,7 @@
 //   /proc/stat            global counter registry (obs/stats.h RenderText)
 //   /proc/<pid>/status    pid, ppid, state, ids, shmask, share-group id,
 //                         syscall count
-//   /proc/share/<gid>     member list, s_refcnt, shared-read-lock stats
+//   /proc/share/<gid>     member list, s_refcnt, update-lock stats
 //
 // File contents are generated at read(2) time; the directory population
 // (which pids/groups exist) is refreshed by a hook the VFS invokes during
@@ -47,7 +47,6 @@ struct GroupStatus {
   u64 id = 0;
   u32 refcnt = 0;
   std::vector<i32> members;
-  std::string lock_name;  // UpdateLock::name(), empty if unnamed
   u64 lock_updates = 0;
   u64 lock_update_waits = 0;
   u64 lock_update_wait_count = 0;   // per-lock writer wait histogram

@@ -95,17 +95,6 @@ u64 TraceBuffer::TotalWritten() const {
   return n;
 }
 
-std::vector<TraceEvent> TraceBuffer::SnapshotAll() const {
-  std::vector<TraceEvent> out;
-  for (const auto& r : rings_) {
-    auto v = r->Snapshot();
-    out.insert(out.end(), v.begin(), v.end());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) { return a.tick < b.tick; });
-  return out;
-}
-
 void TraceBuffer::Reset() {
   for (const auto& r : rings_) {
     r->Reset();

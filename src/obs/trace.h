@@ -31,7 +31,6 @@ enum class TraceKind : u16 {
   kCowBreak,        // arg0 = faulting va
   kTlbShootdown,    // arg0 = #TLBs flushed, arg1 = IPIs delivered
   kLockUpdateWait,  // UpdateLock: acquisition found the lock held
-  kSemSleep,        // Semaphore::P went to sleep
   kResourceSync,    // §6.3 kernel-entry pull; arg0 = PR_S* mask of resources pulled
   kPagerSteal,      // arg0 = frames stolen
   kProcExit,        // arg0 = exit status, arg1 = terminating signal
@@ -108,26 +107,18 @@ class TraceBuffer {
 
   TraceRing& ring(i32 cpu);
   u64 TotalWritten() const;
-  std::vector<TraceEvent> SnapshotAll() const;  // merged, tick-ordered
   void Reset();
-
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
  private:
   TraceBuffer();
 
-  std::atomic<bool> enabled_{true};
   std::atomic<u64> tick_{0};
   std::vector<std::unique_ptr<TraceRing>> rings_;  // kMaxCpus + 1, fixed at ctor
 };
 
-// The emit helper instrumented code calls. One relaxed load when disabled.
+// The emit helper instrumented code calls.
 inline void Trace(TraceKind kind, u64 arg0 = 0, u64 arg1 = 0) {
-  TraceBuffer& b = TraceBuffer::Global();
-  if (b.enabled()) {
-    b.Emit(kind, arg0, arg1);
-  }
+  TraceBuffer::Global().Emit(kind, arg0, arg1);
 }
 
 }  // namespace obs

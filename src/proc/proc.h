@@ -251,7 +251,6 @@ class Proc final : public ExecutionContext {
                         rm_node.load(std::memory_order_acquire));
     obs::CurrentTraceContext().cpu = static_cast<i32>(cpu_);
   }
-  bool has_cpu() const { return has_cpu_; }
   // The simulated processor currently (or last) granted to this process.
   u32 cpu() const { return cpu_; }
 

@@ -3,8 +3,8 @@
 //
 // Every simulated process runs its user code (and the kernel code of its own
 // syscalls) on a host thread that holds a simulated-CPU slot while RUNNING.
-// When a kernel primitive must sleep (semaphore P and the update lock
-// built on it, pipe full/empty, wait(2)...), it releases the slot via
+// When a kernel primitive must sleep (the update lock, pipe full/empty,
+// wait(2)... — all through BlockOn, sync/wait.h), it releases the slot via
 // WillBlock() so another runnable process can execute, and reacquires it
 // via DidWake() after the host-level wait completes.
 //

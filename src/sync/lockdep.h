@@ -17,8 +17,8 @@
 //   * Sleep under spinlock. The paper's hard rule — "critical sections
 //     protected by a Spinlock are short and never call a blocking
 //     primitive" — is checked at the entry of every simulated-CPU-
-//     releasing primitive (Semaphore::P, UpdateLock acquisition,
-//     BlockOn) via MaySleep(): calling one with any
+//     releasing primitive (UpdateLock acquisition, BlockOn) via
+//     MaySleep(): calling one with any
 //     spinlock-class lock held is a violation even on runs where the fast
 //     path happened not to sleep.
 //
@@ -49,7 +49,7 @@ using ClassId = u16;  // 1-based; 0 = invalid/untracked
 
 enum class Kind : u8 {
   kSpin,   // busy-wait lock; holders must never sleep
-  kSleep,  // blocking primitive (semaphore, update lock)
+  kSleep,  // blocking primitive (the update lock)
 };
 
 #if defined(SG_LOCKDEP_ENABLED)

@@ -58,7 +58,6 @@ class SG_CAPABILITY("spinlock") Spinlock {
       // simulated machine the holder may be preempted, and burning the
       // quantum would stall everyone (a real multiprocessor never sees
       // this: the holder runs concurrently).
-      contended_.fetch_add(1, std::memory_order_relaxed);
       SG_OBS_INC("sync.spin_contended");
       SG_INJECT_POINT("spinlock.contended");
       u32 spins = 0;
@@ -96,10 +95,6 @@ class SG_CAPABILITY("spinlock") Spinlock {
     flag_.store(false, std::memory_order_release);
   }
 
-  // Number of lock acquisitions that found the lock held (contention metric
-  // used by the shared-read-lock benchmarks).
-  u64 contended_acquires() const { return contended_.load(std::memory_order_relaxed); }
-
  private:
   void DidAcquire() {
 #if defined(SG_LOCKDEP_ENABLED)
@@ -109,7 +104,6 @@ class SG_CAPABILITY("spinlock") Spinlock {
   }
 
   std::atomic<bool> flag_{false};
-  std::atomic<u64> contended_{0};
 #if defined(SG_LOCKDEP_ENABLED)
   lockdep::ClassId class_ = 0;
   std::atomic<std::thread::id> holder_{};

@@ -6,6 +6,7 @@
 #include "obs/stats.h"
 #include "obs/trace.h"
 #include "sync/lockdep.h"
+#include "sync/wait.h"
 
 namespace sg {
 
@@ -25,17 +26,8 @@ lockdep::ClassId UpdateLockClass() {
 }
 }  // namespace
 
-void UpdateLock::SetName(std::string_view name) {
-  name_ = name;
-  const std::string prefix = "sharedlock." + name_ + ".";
-  obs::Stats& stats = obs::Stats::Global();
-  named_updates_ = &stats.counter(prefix + "updates");
-  named_update_waits_ = &stats.counter(prefix + "update_waits");
-  named_wait_histo_ = &stats.histo(prefix + "update_wait_ns");
-}
-
-// Suppressed: the semaphore's capability is held from here until
-// ReleaseUpdate, which clang cannot follow across the two calls.
+// Suppressed: the capability is held from here until ReleaseUpdate, which
+// clang cannot follow across the two calls.
 void UpdateLock::AcquireUpdate() SG_NO_THREAD_SAFETY_ANALYSIS {
   // A violation under a spinlock even when this call would not sleep:
   // whether it sleeps depends on a racing holder, and the discipline must
@@ -44,37 +36,50 @@ void UpdateLock::AcquireUpdate() SG_NO_THREAD_SAFETY_ANALYSIS {
   // Entry-to-grant latency is the paper's §7 cost of shrink/detach: every
   // acquisition records it, so /proc/stat exposes how long updaters stall.
   const auto t0 = std::chrono::steady_clock::now();
-  if (!sema_.TryP()) {
-    update_waits_.fetch_add(1, std::memory_order_relaxed);
-    SG_OBS_INC("sharedlock.update_waits");
-    if (named_update_waits_ != nullptr) {
-      named_update_waits_->Inc();
+  SG_INJECT_POINT("sema.tryp");
+  bool slept = false;
+  {
+    std::unique_lock<std::mutex> l(m_);
+    if (held_) {
+      update_waits_.fetch_add(1, std::memory_order_relaxed);
+      SG_OBS_INC("sharedlock.update_waits");
+      obs::Trace(obs::TraceKind::kLockUpdateWait);
+      SG_INJECT_POINT("sema.p");
+      // Uninterruptible: always kOk. sync.sema_sleeps counts every wait,
+      // a spurious or lost-race wakeup that sleeps again included.
+      (void)BlockOn(cv_, l, SleepMode::kUninterruptible, &slept, [this] {
+        if (!held_) {
+          return true;
+        }
+        SG_OBS_INC("sync.sema_sleeps");
+        return false;
+      });
     }
-    obs::Trace(obs::TraceKind::kLockUpdateWait);
-    (void)sema_.P();  // uninterruptible: always kOk
+    held_ = true;
   }
+  FinishSleep(slept);  // reacquires the simulated CPU; m_ is released
 
   lockdep::OnAcquire(UpdateLockClass(), this);
   updates_.fetch_add(1, std::memory_order_relaxed);
   SG_OBS_INC("sharedlock.updates");
-  if (named_updates_ != nullptr) {
-    named_updates_->Inc();
-  }
   static obs::LatencyHisto& global_wait_histo =
       obs::Stats::Global().histo("sharedlock.update_wait_ns");
   const u64 wait_ns = NowNsSince(t0);
   global_wait_histo.Record(wait_ns);
   wait_histo_.Record(wait_ns);
-  if (named_wait_histo_ != nullptr) {
-    named_wait_histo_->Record(wait_ns);
-  }
 }
 
-// Suppressed: releases the semaphore AcquireUpdate took (see there).
+// Suppressed: releases what AcquireUpdate took (see there).
 void UpdateLock::ReleaseUpdate() SG_NO_THREAD_SAFETY_ANALYSIS {
   lockdep::OnRelease(UpdateLockClass(), this);
   SG_INJECT_POINT("sharedlock.update.release");
-  sema_.V();
+  {
+    std::lock_guard<std::mutex> l(m_);
+    held_ = false;
+  }
+  // notify_all: every sleeper re-checks held_ (the one that wins takes the
+  // lock; the others sleep again).
+  cv_.notify_all();
 }
 
 }  // namespace sg

@@ -13,21 +13,20 @@
 // paper's behaviour stays: updates exclude, and a member that trapped
 // during an update waits here until the update completes.
 //
-// The lock is the V.3 Semaphore at count 1: the count is the paper's
-// s_acccnt (1 free, 0 held), and its sleepers and condition variable are
-// s_waitcnt and s_updwait. A waiter sleeps and gives its simulated CPU
-// back, and every release wakes every sleeper.
+// held_ is the paper's s_acccnt (held or free), the BlockOn sleepers are
+// s_waitcnt, and cv_ is s_updwait. A waiter sleeps uninterruptibly through
+// BlockOn and gives its simulated CPU back, and every release wakes every
+// sleeper.
 #ifndef SRC_SYNC_UPDATE_LOCK_H_
 #define SRC_SYNC_UPDATE_LOCK_H_
 
 #include <atomic>
-#include <string>
-#include <string_view>
+#include <condition_variable>
+#include <mutex>
 
 #include "base/thread_annotations.h"
 #include "base/types.h"
 #include "obs/stats.h"
-#include "sync/semaphore.h"
 
 namespace sg {
 
@@ -42,14 +41,6 @@ class SG_CAPABILITY("update_lock") UpdateLock {
   void AcquireUpdate() SG_ACQUIRE();
   void ReleaseUpdate() SG_RELEASE();
 
-  // Names the lock so its counters additionally surface as
-  // `sharedlock.<name>.*` in the global registry (and through that in
-  // /proc/stat), giving per-group numbers instead of only the process-wide
-  // sharedlock.* aggregate. Call before the lock is shared; not
-  // thread-safe against concurrent acquisition.
-  void SetName(std::string_view name);
-  const std::string& name() const { return name_; }
-
   // Stats for the E8 benchmark and /proc/share/<gid>: acquisitions, and
   // those that found the lock held.
   u64 updates() const { return updates_.load(std::memory_order_relaxed); }
@@ -58,19 +49,14 @@ class SG_CAPABILITY("update_lock") UpdateLock {
   const obs::LatencyHisto& update_wait_histo() const { return wait_histo_; }
 
  private:
-  Semaphore sema_{1};
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool held_ = false;  // guarded by m_ (a std::mutex, for cv_)
 
   std::atomic<u64> updates_{0};
   std::atomic<u64> update_waits_{0};
 
   obs::LatencyHisto wait_histo_;  // per-lock entry-to-grant
-
-  // sgcheck:allow(guarded-fields): written by SetName before the lock is
-  // shared (documented contract), read-only afterwards
-  std::string name_;
-  obs::Counter* named_updates_ = nullptr;
-  obs::Counter* named_update_waits_ = nullptr;
-  obs::LatencyHisto* named_wait_histo_ = nullptr;
 };
 
 // RAII guard. A scoped capability with an early-release escape: clang

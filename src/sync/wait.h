@@ -1,8 +1,9 @@
-// BlockOn — the shared sleep pattern for kernel objects that wait on a
-// condition variable (pipes, wait(2), pause(2)): releases the simulated
-// CPU, registers the wakeup channel so signal posters can kick the sleeper,
-// honors SleepMode::kInterruptible, and avoids the lost-wakeup race by
-// registering before the final pending-signal check.
+// BlockOn — the one sleep of every kernel object that waits on a condition
+// variable (pipes, SysV semaphores and message queues, wait(2), pause(2),
+// PR_BLOCKGROUP, and the share group's update lock): releases the
+// simulated CPU, and for an interruptible sleep registers the wakeup
+// channel so signal posters can kick the sleeper, avoiding the lost-wakeup
+// race by registering before the final pending-signal check.
 //
 // Usage:
 //   bool slept = false;
@@ -22,9 +23,13 @@
 #include "base/result.h"
 #include "sync/execution_context.h"
 #include "sync/lockdep.h"
-#include "sync/semaphore.h"  // SleepMode
 
 namespace sg {
+
+enum class SleepMode {
+  kUninterruptible,  // sleep until the condition holds
+  kInterruptible,    // additionally wake with EINTR on a pending signal
+};
 
 template <typename Pred>
 Status BlockOn(std::condition_variable& cv, std::unique_lock<std::mutex>& l, SleepMode mode,
@@ -33,23 +38,28 @@ Status BlockOn(std::condition_variable& cv, std::unique_lock<std::mutex>& l, Sle
   // actually sleeps is schedule-dependent, the no-spinlock rule is not.
   lockdep::MaySleep("wait.BlockOn");
   ExecutionContext* ctx = CurrentExecutionContext();
+  // Only an interruptible sleep registers its wakeup. An uninterruptible
+  // sleeper ignores signals anyway, and registering nothing means no signal
+  // poster can reach a wait channel freed with its owner (a share group's
+  // update lock) after this sleeper left.
+  const bool interruptible = mode == SleepMode::kInterruptible && ctx != nullptr;
   for (;;) {
     if (pred()) {
       return Status::Ok();
     }
     if (ctx != nullptr) {
       ctx->WillBlock();
-      ctx->SetWakeup(&cv, l.mutex());
     }
-    if (mode == SleepMode::kInterruptible && ctx != nullptr && ctx->InterruptPending()) {
-      if (ctx != nullptr) {
+    if (interruptible) {
+      ctx->SetWakeup(&cv, l.mutex());
+      if (ctx->InterruptPending()) {
         ctx->ClearWakeup();
+        return Errno::kEINTR;
       }
-      return Errno::kEINTR;
     }
     *slept = true;
     cv.wait(l);
-    if (ctx != nullptr) {
+    if (interruptible) {
       ctx->ClearWakeup();
     }
   }

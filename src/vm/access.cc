@@ -1,6 +1,6 @@
 #include "vm/access.h"
 
-#include "base/log.h"
+#include "base/check.h"
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
 #include "inject/inject.h"
@@ -77,29 +77,101 @@ Status ResolveAndMap(AddressSpace& as, Pregion& pr, vaddr_t va, bool want_write,
   return Status::Ok();
 }
 
+// How one attempt against the published layout ended.
+enum class Attempt {
+  kDone,   // validated: the status stands
+  kMoved,  // a write section straddled it; our own TLB entry is undone
+  kBusy,   // a writer was mid-section before it began; nothing was done
+};
+
+// One lookup and resolution of `va` against the published layout,
+// bracketed by a layout seqcount read and its revalidation: the lockless
+// path runs it up to kLocklessAttempts times, the fallback once under the
+// update lock, where no write section can open and it always validates.
+Attempt SharedAttempt(AddressSpace& as, SharedSpace& ss, vaddr_t va, bool want_write,
+                      Status* out) {
+  u64 s0 = 0;
+  if (!ss.layout_seq().TryReadBegin(&s0)) {
+    return Attempt::kBusy;
+  }
+  SG_INJECT_POINT("vm.fault.lockless");
+  Status st = Errno::kEFAULT;
+  // The epoch guard pins the snapshot and everything it points to
+  // (including a pregion a concurrent munmap is retiring) for the rest
+  // of this attempt. It MUST outlive the revalidation and the undo
+  // flush below: the instant we drop it, an updater's AwaitQuiescent may
+  // complete and free retired frames, so we stay registered until either
+  // the revalidation proves our TLB entry belongs to a stable layout or
+  // the entry is gone again. A sibling thread of this task shares our
+  // TLB — a stale entry outliving the quiescence point would let it
+  // translate to a freed frame.
+  SharedSpace::EpochGuard epoch(ss);
+  const LayoutSnapshot* snap = ss.layout();
+  // sgcheck:allow(sleep-in-atomic): name collision — sgcheck links calls
+  // by bare name, so `Find` reaches ProcTable::Find's mutex. This Find
+  // walks the immutable snapshot, and Contains loads the region's atomic
+  // page count: nothing on this lookup blocks.
+  if (Pregion* pr = snap->Find(va); pr != nullptr) {
+    if (ProtAllows(*pr, want_write)) {
+      // The pregion lock closes the resolve/insert vs pager-steal
+      // window; writers never take it — the seqcount recheck below is
+      // what protects against them.
+      // sgcheck:allow(sleep-in-atomic): §4h lock order — the per-pregion
+      // mutex is taken under the epoch pin by design; its holders (fault
+      // path, pager steal) never sleep while resolving.
+      MutexGuard pl(pr->lock);
+      // sgcheck:allow(sleep-in-atomic): §4h — resolve takes the region
+      // mutex (leaf) and may touch swap via the slot-ownership protocol;
+      // the epoch pin is expected to span the whole resolve+flush+recheck.
+      st = ResolveAndMap(as, *pr, va, want_write, [&](u64 vpn) {
+        // Frame change published to every member BEFORE the seqcount
+        // re-check: a membership/layout change that could widen the
+        // member set forces a retry, never a missed invalidation.
+        SharedSpace::FlushPageAll(*snap, vpn);
+      });
+    }
+  }
+  if (ss.layout_seq().ReadValidate(s0)) {
+    // No mutation straddled us: the lookup (hit OR miss), the protection
+    // check, and any installed translation all belong to a stable layout.
+    *out = st;
+    return Attempt::kDone;
+  }
+  // The layout moved underneath the resolution. Whatever we concluded —
+  // even a translation already visible in our TLB — may be stale (e.g. a
+  // frame freed by a racing shrink): drop our own entry, still inside the
+  // epoch so the updater cannot reach its free first. The inject seam
+  // stretches exactly that stale-entry window — a schedule parks us here
+  // while an updater spins in AwaitQuiescent against our epoch
+  // registration.
+  SG_INJECT_POINT("vm.fault.undo");
+  as.tlb().FlushPage(PageOf(va));
+  return Attempt::kMoved;
+}
+
 // The §6.2 fault path, since PR 7 in the lockless form of DESIGN.md §4h.
 //
 // Private pregions are owner-thread state and resolve with no locking at
-// all. For the shared image, the hot path snapshots the layout seqcount,
-// looks `va` up in the published snapshot under an epoch guard, resolves
-// the page under only that pregion's lock, and then REVALIDATES the
-// seqcount: unchanged means no mutation straddled the resolution and the
-// installed translation stands. A failed revalidation undoes our own TLB
-// entry and retries; retry exhaustion or an in-progress writer falls back
-// to the group's update lock — which blocks until the updater finishes,
-// exactly how a member that trapped after a shootdown waits for the VM
-// modification to complete.
+// all. For the shared image, SharedAttempt looks `va` up in the published
+// snapshot under an epoch guard, resolves the page under only that
+// pregion's lock, and REVALIDATES the layout seqcount: unchanged means no
+// mutation straddled the resolution and the installed translation stands.
+// A failed revalidation retries; retry exhaustion or an in-progress writer
+// falls back to the group's update lock — which blocks until the updater
+// finishes, exactly how a member that trapped after a shootdown waits for
+// the VM modification to complete — and runs the same attempt there.
 //
-// Suppressed: the guard appears only on the fallback path and the pregion
-// lock is taken through a pointer — shapes clang's analysis cannot model.
-// The runtime lockdep validator covers these paths instead.
+// Suppressed: the guard appears only on the fallback path — a shape
+// clang's analysis cannot model. The runtime lockdep validator covers
+// these paths instead.
 Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write) SG_NO_THREAD_SAFETY_ANALYSIS {
   as.faults.fetch_add(1, std::memory_order_relaxed);
   SG_OBS_INC("vm.faults");
   obs::Trace(obs::TraceKind::kPageFault, va, want_write ? 1 : 0);
 
   // Private pregions first (§6.2 scan order — a private page shadows the
-  // shared image). No group lock: nothing here is visible to other members.
+  // shared image). No group lock: nothing here is visible to other members,
+  // and only this thread changes the list.
   if (Pregion* pr = as.FindPrivate(va); pr != nullptr) {
     if (!ProtAllows(*pr, want_write)) {
       return Errno::kEFAULT;
@@ -114,93 +186,30 @@ Status HandleFaultOnce(AddressSpace& as, vaddr_t va, bool want_write) SG_NO_THRE
     return Errno::kEFAULT;
   }
 
+  Status st = Errno::kEFAULT;
   for (int attempt = 0; attempt < kLocklessAttempts; ++attempt) {
-    u64 s0 = 0;
-    if (!ss->layout_seq().TryReadBegin(&s0)) {
+    const Attempt a = SharedAttempt(as, *ss, va, want_write, &st);
+    if (a == Attempt::kBusy) {
       break;  // a writer is mid-mutation right now: go block on the lock
     }
-    SG_INJECT_POINT("vm.fault.lockless");
-    Status st = Errno::kEFAULT;
-    // The epoch guard pins the snapshot and everything it points to
-    // (including a pregion a concurrent munmap is retiring) for the rest
-    // of this iteration. It MUST outlive the revalidation and the undo
-    // flush below: the instant we drop it, an updater's AwaitQuiescent may
-    // complete and free retired frames, so we stay registered until either
-    // the revalidation proves our TLB entry belongs to a stable layout or
-    // the entry is gone again. A sibling thread of this task shares our
-    // TLB — a stale entry outliving the quiescence point would let it
-    // translate to a freed frame.
-    SharedSpace::EpochGuard epoch(*ss);
-    const LayoutSnapshot* snap = ss->layout();
-    // sgcheck:allow(sleep-in-atomic): name collision — sgcheck links calls
-    // by bare name, so `Find` reaches ProcTable::Find's mutex. This Find
-    // walks the immutable snapshot, and Contains loads the region's atomic
-    // page count: nothing on this lookup blocks.
-    if (Pregion* pr = snap->Find(va); pr != nullptr) {
-      if (!ProtAllows(*pr, want_write)) {
-        st = Errno::kEFAULT;
-      } else {
-        // The pregion lock closes the resolve/insert vs pager-steal
-        // window; writers never take it — the seqcount recheck below is
-        // what protects against them.
-        // sgcheck:allow(sleep-in-atomic): §4h lock order — the per-pregion
-        // mutex is taken under the epoch pin by design; its holders (fault
-        // path, pager steal) never sleep while resolving.
-        MutexGuard pl(pr->lock);
-        // sgcheck:allow(sleep-in-atomic): §4h — resolve takes the region
-        // mutex (leaf) and may touch swap via the slot-ownership protocol;
-        // the epoch pin is expected to span the whole resolve+flush+recheck.
-        st = ResolveAndMap(as, *pr, va, want_write, [&](u64 vpn) {
-          // Frame change published to every member BEFORE the seqcount
-          // re-check: a membership/layout change that could widen the
-          // member set forces a retry, never a missed invalidation.
-          SharedSpace::FlushPageAll(*snap, vpn);
-        });
-      }
-    }
-    if (ss->layout_seq().ReadValidate(s0)) {
-      // No mutation straddled us: the lookup (hit OR miss), the protection
-      // check, and any installed translation all belong to a stable layout.
+    if (a == Attempt::kDone) {
       if (st.ok()) {
         SG_OBS_INC("vm.fault.lockless_hits");
       }
       return st;
     }
-    // The layout moved underneath the resolution. Whatever we concluded —
-    // even a translation already visible in our TLB — may be stale (e.g. a
-    // frame freed by a racing shrink): drop our own entry, still inside the
-    // epoch so the updater cannot reach its free first, and retry. The
-    // inject seam stretches exactly that stale-entry window — a schedule
-    // parks us here while an updater spins in AwaitQuiescent against our
-    // epoch registration.
-    SG_INJECT_POINT("vm.fault.undo");
-    as.tlb().FlushPage(PageOf(va));
     SG_OBS_INC("vm.fault.retries");
     SG_INJECT_POINT("vm.fault.retry");
   }
 
-  // Fallback ladder, last rung: the locked path. Blocks while an updater
-  // holds the lock; writers are excluded for the whole resolution, so no
-  // revalidation is needed. The pregion lock is still taken, as on the
-  // lockless path: lockless faulters keep resolving on this pregion beside
-  // us.
+  // Fallback ladder, last rung: the same attempt under the update lock.
+  // Blocks while an updater holds the lock; every layout write section
+  // runs under it, so the attempt cannot fail to validate.
   SG_OBS_INC("vm.fault.fallbacks");
   SG_INJECT_POINT("vm.fault.fallback");
   UpdateGuard guard(ss->lock());
-  bool shared_pr = false;
-  Pregion* pr = as.FindPregion(va, &shared_pr);
-  if (pr == nullptr) {
-    return Errno::kEFAULT;
-  }
-  if (!ProtAllows(*pr, want_write)) {
-    return Errno::kEFAULT;
-  }
-  if (!shared_pr) {
-    return ResolveAndMap(as, *pr, va, want_write, [](u64) {});
-  }
-  MutexGuard pl(pr->lock);
-  return ResolveAndMap(as, *pr, va, want_write,
-                       [&](u64 vpn) { ss->FlushPageAllMembers(vpn); });
+  SG_CHECK(SharedAttempt(as, *ss, va, want_write, &st) == Attempt::kDone);
+  return st;
 }
 
 }  // namespace

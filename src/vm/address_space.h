@@ -57,15 +57,19 @@ class AddressSpace {
 
   // Finds the pregion containing `va`, private list first — so a private
   // page (PRDA, privately shadowed data) always wins over the shared image
-  // (§6.2). `*out_shared` (may be null) is set when the result lives on
-  // the shared list. The caller holds the group's update lock if a shared
-  // space is attached.
-  Pregion* FindPregion(vaddr_t va, bool* out_shared);
+  // (§6.2) — then in the group's locked_layout(). The caller holds the
+  // group's update lock if a shared space is attached — a conditional
+  // precondition clang cannot express, hence the suppression (the runtime
+  // lockdep validator covers these scans).
+  Pregion* FindPregion(vaddr_t va) SG_NO_THREAD_SAFETY_ANALYSIS {
+    if (Pregion* pr = FindPrivate(va); pr != nullptr || shared_ == nullptr) {
+      return pr;
+    }
+    return shared_->locked_layout().Find(va);
+  }
 
-  // Finds a pregion by region type, scanning private then shared. The
-  // caller holds the group's update lock if a shared space is attached — a
-  // conditional precondition clang cannot express, hence the suppression
-  // (the runtime lockdep validator covers these scans).
+  // Finds a pregion by region type, private list first, then in the
+  // group's locked_layout(). Same precondition as FindPregion.
   Pregion* FindByType(RegionType type) SG_NO_THREAD_SAFETY_ANALYSIS {
     for (auto& pr : private_) {
       if (pr->region->type() == type) {
@@ -73,7 +77,7 @@ class AddressSpace {
       }
     }
     if (shared_ != nullptr) {
-      return shared_->FindByType(type);
+      return shared_->locked_layout().FindByType(type);
     }
     return nullptr;
   }

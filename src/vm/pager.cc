@@ -23,7 +23,8 @@ u64 ReclaimPages(AddressSpace& as, u64 target) {
   SharedSpace* ss = as.shared();
   if (ss != nullptr && stolen < target) {
     UpdateGuard g(ss->lock());
-    for (auto& pr : ss->pregions()) {
+    const LayoutSnapshot& layout = ss->locked_layout();
+    for (Pregion* pr : layout.pregions) {
       if (stolen >= target) {
         break;
       }
@@ -33,8 +34,9 @@ u64 ReclaimPages(AddressSpace& as, u64 target) {
       // a frame we just swapped out.
       MutexGuard pl(pr->lock);
       const u64 vpn0 = PageOf(pr->base);
-      stolen += pr->region->StealPages(
-          target - stolen, [&](u64 idx) { ss->FlushPageAllMembers(vpn0 + idx); });
+      stolen += pr->region->StealPages(target - stolen, [&](u64 idx) {
+        SharedSpace::FlushPageAll(layout, vpn0 + idx);
+      });
     }
   }
   if (stolen > 0) {

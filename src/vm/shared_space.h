@@ -6,6 +6,12 @@
 // It is owned by core::ShaddrBlock but lives in vm/ so the fault path does
 // not depend on the share-group layer.
 //
+// One read view. Every reader of the list, locked or not, reads the
+// published LayoutSnapshot: the lockless fault path under an epoch pin,
+// every other scan through locked_layout() under the update lock, where
+// the snapshot is the list because every mutation republishes while
+// holding the lock. The raw list and member registry are private.
+//
 // Lockless fault-path surface (DESIGN.md §4h). The fault hot path takes
 // no lock at all:
 //
@@ -24,9 +30,8 @@
 //     continuous fault stream.
 //
 // Every mutation goes through the methods below (AttachPregion,
-// DetachPregion, ExtractStackOf, AddMemberTlb, ...); tools/lint.sh bans
-// raw pregions() access outside src/vm/ so the snapshot can never go stale
-// behind the seqcount's back.
+// DetachPregion, ExtractStackOf, AddMemberTlb, ...), so the snapshot can
+// never go stale behind the seqcount's back.
 #ifndef SRC_VM_SHARED_SPACE_H_
 #define SRC_VM_SHARED_SPACE_H_
 
@@ -64,6 +69,16 @@ struct LayoutSnapshot {
     }
     return nullptr;
   }
+
+  // The first pregion whose region has type `t`.
+  Pregion* FindByType(RegionType t) const {
+    for (Pregion* pr : pregions) {
+      if (pr->region->type() == t) {
+        return pr;
+      }
+    }
+    return nullptr;
+  }
 };
 
 class SharedSpace {
@@ -75,12 +90,18 @@ class SharedSpace {
   SharedSpace(const SharedSpace&) = delete;
   SharedSpace& operator=(const SharedSpace&) = delete;
 
-  // The group's update lock (§6.2). Hold it around any locked scan of
-  // pregions() and any modification of the list, a region resize, or a
-  // member TLB registry change. SG_RETURN_CAPABILITY lets clang see
+  // The group's update lock (§6.2). Hold it around any locked scan
+  // (locked_layout()) and any modification of the list, a region resize,
+  // or a member TLB registry change. SG_RETURN_CAPABILITY lets clang see
   // `UpdateGuard g(space.lock())` as guarding the fields below even
   // through this accessor.
   UpdateLock& lock() SG_RETURN_CAPABILITY(lock_) { return lock_; }
+
+  // The layout for a caller holding the lock: every mutation republishes
+  // while holding it, so here the published snapshot is the list and its
+  // member set. The reference is valid until the caller's own next
+  // mutation, which retires the snapshot.
+  const LayoutSnapshot& locked_layout() const SG_REQUIRES(lock_) { return *layout(); }
 
   // ----- lockless reader surface (no lock held) -----
 
@@ -132,49 +153,17 @@ class SharedSpace {
     u32 parity_;
   };
 
-  // Page-granular invalidation against a snapshot's member set: used by the
-  // lockless COW-break path, where the faulter holds no lock but does hold
-  // an EpochGuard pinning `l`. The flush is published BEFORE the caller's
-  // seqcount re-check, so a layout/membership change that could widen the
-  // member set forces a retry rather than a missed invalidation.
+  // Page-granular invalidation against a snapshot's member set, used when a
+  // COW break in a shared region replaces a frame and by the pager's
+  // steal: every member must drop its stale translation before the new
+  // frame becomes visible (the page table entry itself is guarded by the
+  // region lock). A lockless COW break holds no lock but an EpochGuard
+  // pinning `l`, and flushes BEFORE its seqcount re-check, so a
+  // layout/membership change that could widen the member set forces a
+  // retry rather than a missed invalidation.
   static void FlushPageAll(const LayoutSnapshot& l, u64 vpn) {
     for (Tlb* t : l.tlbs) {
       t->FlushPage(vpn);
-    }
-  }
-
-  // ----- locked scans -----
-
-  // The shared pregion list (scan only — mutations go through the update
-  // API below so the published snapshot can never go stale).
-  const std::vector<std::unique_ptr<Pregion>>& pregions() const SG_REQUIRES(lock_) {
-    return pregions_;
-  }
-
-  // Finds the shared pregion containing `va`.
-  Pregion* Find(vaddr_t va) SG_REQUIRES(lock_) {
-    for (auto& pr : pregions_) {
-      if (pr->Contains(va)) {
-        return pr.get();
-      }
-    }
-    return nullptr;
-  }
-
-  // Finds the first shared pregion whose region has type `t`.
-  Pregion* FindByType(RegionType t) SG_REQUIRES(lock_) {
-    for (auto& pr : pregions_) {
-      if (pr->region->type() == t) {
-        return pr.get();
-      }
-    }
-    return nullptr;
-  }
-
-  template <typename Fn>
-  void ForEachPregion(Fn&& fn) SG_REQUIRES(lock_) {
-    for (auto& pr : pregions_) {
-      fn(*pr);
     }
   }
 
@@ -231,25 +220,12 @@ class SharedSpace {
   // the new one.
   void AddMemberTlb(Tlb* tlb) SG_REQUIRES(lock_);
   void RemoveMemberTlb(Tlb* tlb) SG_REQUIRES(lock_);
-  const std::vector<Tlb*>& member_tlbs() const SG_REQUIRES(lock_) {
-    return member_tlbs_;
-  }
 
   // §6.2 shootdown: synchronously flush every member's translations on all
   // processors. Caller holds the lock; any member that then
   // touches the space misses, enters the fault path, and (seeing the odd
   // seqcount or failing revalidation) lands on the lock.
   void ShootdownAll() SG_REQUIRES(lock_) { cpus_.SynchronousFlush(member_tlbs_); }
-
-  // Page-granular invalidation used when a COW break in a shared region
-  // replaces a frame: every member must drop its stale translation before
-  // the new frame becomes visible. The page table entry itself is guarded
-  // by the region lock.
-  void FlushPageAllMembers(u64 vpn) SG_REQUIRES(lock_) {
-    for (Tlb* t : member_tlbs_) {
-      t->FlushPage(vpn);
-    }
-  }
 
   CpuSet& cpus() { return cpus_; }
 

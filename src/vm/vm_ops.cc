@@ -108,14 +108,8 @@ Status Unmap(AddressSpace& as, vaddr_t base) {
   SharedSpace* ss = as.shared();
   if (ss != nullptr) {
     UpdateGuard guard(ss->lock());
-    Pregion* found = nullptr;
-    for (auto& pr : ss->pregions()) {
-      if (pr->base == base) {
-        found = pr.get();
-        break;
-      }
-    }
-    if (found == nullptr) {
+    Pregion* found = ss->locked_layout().Find(base);
+    if (found == nullptr || found->base != base) {
       return Errno::kEINVAL;
     }
     if (found->region->NeedsWriteBack()) {
@@ -179,7 +173,7 @@ Status DuplicateForFork(AddressSpace& parent, AddressSpace& child) SG_NO_THREAD_
     // so a racing faulter that installed a writable entry off the
     // pre-marking page table fails its re-check and undoes it.
     SeqWriter w(ss->layout_seq());
-    for (auto& pr : ss->pregions()) {
+    for (const Pregion* pr : ss->locked_layout().pregions) {
       dup_one(*pr);
     }
     ss->ShootdownAll();

@@ -4,8 +4,8 @@
 // validator implements:
 //   1. acquisition-order cycles (AB/BA inversion across threads or within
 //      one thread) are reported the moment the closing edge appears;
-//   2. declaring sleep intent (Semaphore::P and friends) while holding a
-//      spinlock is reported.
+//   2. declaring sleep intent (an update-lock acquisition, BlockOn) while
+//      holding a spinlock is reported.
 // Plus the "clean protocol" case: the kernel's real lock nesting produces
 // zero reports.
 //
@@ -18,8 +18,8 @@
 
 #include <thread>
 
-#include "sync/semaphore.h"
 #include "sync/spinlock.h"
+#include "sync/update_lock.h"
 
 namespace sg {
 namespace {
@@ -132,36 +132,30 @@ TEST_F(LockdepTest, ThreeLockCycleReports) {
 
 TEST_F(LockdepTest, SleepUnderSpinlockReports) {
   Spinlock spin("test.sleep_spin");
-  Semaphore sema{1};
+  UpdateLock lock;
   {
     SpinGuard g(spin);
-    (void)sema.TryP();  // TryP never sleeps: must NOT report
+    UpdateGuard u(lock);  // declares sleep intent while test.sleep_spin is held
   }
-  sema.V();
-  EXPECT_EQ(lockdep::Reports(), 0u);
-  {
-    SpinGuard g(spin);
-    (void)sema.P();  // declares sleep intent while test.sleep_spin is held
-  }
-  sema.V();
   EXPECT_EQ(lockdep::Reports(), 1u);
   EXPECT_NE(lockdep::RenderReport().find("test.sleep_spin"), std::string::npos);
 }
 
 TEST_F(LockdepTest, SleepSiteReportedOnce) {
   Spinlock spin("test.sleep_once");
-  Semaphore sema{3};
+  UpdateLock lock;
   for (int i = 0; i < 3; ++i) {
     SpinGuard g(spin);
-    (void)sema.P();
+    UpdateGuard u(lock);
   }
   EXPECT_EQ(lockdep::Reports(), 1u);
 }
 
 TEST_F(LockdepTest, SleepWithNoSpinlockHeldIsClean) {
-  Semaphore sema{1};
-  (void)sema.P();
-  sema.V();
+  UpdateLock lock;
+  {
+    UpdateGuard u(lock);
+  }
   EXPECT_EQ(lockdep::Reports(), 0u);
 }
 

@@ -99,7 +99,7 @@ TEST_P(PipeFuzz, ByteStreamIntactUnderRandomChunking) {
       for (u64 i = 0; i < n; ++i) {
         buf[i] = static_cast<std::byte>((sent + i) * 131 % 251);
       }
-      auto w = pipe.Write(buf.data(), n, SleepMode::kUninterruptible);
+      auto w = pipe.Write(buf.data(), n);
       ASSERT_TRUE(w.ok());
       sent += w.value();
     }
@@ -110,7 +110,7 @@ TEST_P(PipeFuzz, ByteStreamIntactUnderRandomChunking) {
   u64 got = 0;
   for (;;) {
     const u64 want = 1 + rrng() % buf.size();
-    auto r = pipe.Read(buf.data(), want, SleepMode::kUninterruptible);
+    auto r = pipe.Read(buf.data(), want);
     ASSERT_TRUE(r.ok());
     if (r.value() == 0) {
       break;  // EOF

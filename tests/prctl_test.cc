@@ -76,7 +76,7 @@ TEST(Prctl, SmallStackChildGetsExactlyConfiguredStack) {
           // fault below the base where nothing is mapped).
           SharedSpace& ss = c.proc().shaddr->space();
           UpdateGuard g(ss.lock());
-          Pregion* pr = ss.Find(base);
+          Pregion* pr = ss.locked_layout().Find(base);
           ASSERT_NE(pr, nullptr);
           EXPECT_EQ(pr->region->pages(), 2u);
           g.Release();

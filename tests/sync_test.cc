@@ -1,5 +1,5 @@
-// Unit tests for sync/: spinlock, semaphore, and the update lock built on
-// the semaphore (§6.2).
+// Unit tests for sync/: spinlock, the update lock (§6.2), and the BlockOn
+// sleep it shares with every other kernel wait.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,9 +9,9 @@
 
 #include "obs/stats.h"
 #include "sync/execution_context.h"
-#include "sync/semaphore.h"
 #include "sync/spinlock.h"
 #include "sync/update_lock.h"
+#include "sync/wait.h"
 
 namespace sg {
 namespace {
@@ -45,54 +45,6 @@ TEST(Spinlock, TryLock) {
   lock.Unlock();
 }
 
-TEST(Semaphore, CountingSemantics) {
-  Semaphore sem(2);
-  EXPECT_TRUE(sem.TryP());
-  EXPECT_TRUE(sem.TryP());
-  EXPECT_FALSE(sem.TryP());
-  sem.V();
-  EXPECT_EQ(sem.count(), 1);
-  EXPECT_TRUE(sem.TryP());
-}
-
-TEST(Semaphore, PBlocksUntilV) {
-  Semaphore sem(0);
-  std::atomic<bool> got{false};
-  std::thread t([&] {
-    EXPECT_TRUE(sem.P().ok());
-    got = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(got.load());
-  sem.V();
-  t.join();
-  EXPECT_TRUE(got.load());
-  EXPECT_GE(sem.sleeps(), 1u);
-}
-
-TEST(Semaphore, ProducerConsumer) {
-  Semaphore items(0);
-  Semaphore slots(4);
-  std::atomic<int> consumed{0};
-  constexpr int kN = 5000;
-  std::thread producer([&] {
-    for (int i = 0; i < kN; ++i) {
-      ASSERT_TRUE(slots.P().ok());
-      items.V();
-    }
-  });
-  std::thread consumer([&] {
-    for (int i = 0; i < kN; ++i) {
-      ASSERT_TRUE(items.P().ok());
-      slots.V();
-      ++consumed;
-    }
-  });
-  producer.join();
-  consumer.join();
-  EXPECT_EQ(consumed.load(), kN);
-}
-
 // The group's update lock (sync/update_lock.h). The suite keeps the
 // paper's name for the lock, whose read side it no longer has.
 TEST(SharedReadLock, UpdaterExcludesReadersAndUpdaters) {
@@ -118,25 +70,20 @@ TEST(SharedReadLock, UpdaterExcludesReadersAndUpdaters) {
   EXPECT_EQ(lock.updates(), 1000u);
 }
 
-TEST(SharedReadLock, SetNameSurfacesPerLockCounters) {
+TEST(SharedReadLock, RecordsEveryGrantInItsHistogram) {
   UpdateLock lock;
-  lock.SetName("synctest0");
-  EXPECT_EQ(lock.name(), "synctest0");
-  const u64 updates0 = obs::Stats::Global().CounterValue("sharedlock.synctest0.updates");
   {
     UpdateGuard g(lock);
   }
   {
     UpdateGuard g(lock);
   }
-  EXPECT_EQ(obs::Stats::Global().CounterValue("sharedlock.synctest0.updates"), updates0 + 2);
-  EXPECT_GE(obs::Stats::Global().HistoCount("sharedlock.synctest0.update_wait_ns"), 2u);
-  // The per-lock histogram recorded both grants too.
+  EXPECT_EQ(lock.updates(), 2u);
   EXPECT_EQ(lock.update_wait_histo().count(), 2u);
 }
 
 // Context integration: a context-bearing thread releases its simulated CPU
-// while blocked in P().
+// while it sleeps, and registers a signal wakeup only when interruptible.
 class RecordingCtx final : public ExecutionContext {
  public:
   void WillBlock() override { ++blocks; }
@@ -147,36 +94,68 @@ class RecordingCtx final : public ExecutionContext {
   int registrations = 0;
 };
 
-TEST(ExecutionContext, SemaphoreReleasesCpuWhileBlocked) {
-  Semaphore sem(0);
+// A contended acquisition sleeps uninterruptibly: it gives the CPU back,
+// takes it again once, and registers no signal wakeup, so a signal poster
+// never reaches a lock that may be freed with its group.
+TEST(ExecutionContext, UpdateLockReleasesCpuWhileBlocked) {
+  UpdateLock lock;
   RecordingCtx ctx;
-  std::thread t([&] {
-    ScopedExecutionContext scope(&ctx);
-    ASSERT_TRUE(sem.P().ok());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  sem.V();
+  obs::Stats& stats = obs::Stats::Global();
+  const u64 sleeps0 = stats.CounterValue("sync.sema_sleeps");
+  std::thread t;
+  {
+    UpdateGuard g(lock);
+    t = std::thread([&] {
+      ScopedExecutionContext scope(&ctx);
+      UpdateGuard waiter(lock);
+    });
+    // The waiter counts its sleep under the lock's mutex just before it
+    // waits, so a release after this point must wake it.
+    while (stats.CounterValue("sync.sema_sleeps") == sleeps0) {
+      std::this_thread::yield();
+    }
+  }
   t.join();
   EXPECT_GE(ctx.blocks, 1);
   EXPECT_EQ(ctx.wakes, 1);
+  EXPECT_EQ(ctx.registrations, 0);
+  EXPECT_EQ(lock.update_waits(), 1u);
 }
 
-// An uninterruptible P registers no signal wakeup, so a signal poster never
-// reaches the semaphore: the group's update lock is one, and it may be freed
-// with its group as soon as its last sleeper leaves.
-TEST(ExecutionContext, UninterruptibleSemaphoreRegistersNoWakeup) {
-  Semaphore sem(0);
+TEST(ExecutionContext, UninterruptibleBlockOnRegistersNoWakeup) {
+  std::mutex m;
+  std::condition_variable cv;
+  bool ready = false;
+  bool sleeping = false;
   RecordingCtx ctx;
   std::thread t([&] {
     ScopedExecutionContext scope(&ctx);
-    ASSERT_TRUE(sem.P(SleepMode::kUninterruptible).ok());
+    bool slept = false;
+    {
+      std::unique_lock<std::mutex> l(m);
+      ASSERT_TRUE(BlockOn(cv, l, SleepMode::kUninterruptible, &slept, [&] {
+                    sleeping = !ready;
+                    return ready;
+                  }).ok());
+    }
+    FinishSleep(slept);
+    EXPECT_TRUE(slept);
   });
-  while (sem.sleeps() == 0) {
+  // `sleeping` turns true under m just before the wait releases m.
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> l(m);
+      if (sleeping) {
+        ready = true;
+        break;
+      }
+    }
     std::this_thread::yield();
   }
-  sem.V();
+  cv.notify_all();
   t.join();
   EXPECT_EQ(ctx.registrations, 0);
+  EXPECT_GE(ctx.blocks, 1);
   EXPECT_EQ(ctx.wakes, 1);
 }
 

@@ -240,10 +240,9 @@ TEST(Lookup, SharedHintInvalidatedByImageUpdate) {
   }
   {
     UpdateGuard g(ss.lock());
-    bool shared = false;
-    Pregion* first = as.FindPregion(kArenaBase, &shared);
+    Pregion* first = as.FindPregion(kArenaBase);
     ASSERT_NE(first, nullptr);
-    EXPECT_TRUE(shared);
+    EXPECT_EQ(as.FindPrivate(kArenaBase), nullptr);  // found on the shared list
     EXPECT_EQ(first->region->pages(), 1u);
   }
   {
@@ -256,7 +255,7 @@ TEST(Lookup, SharedHintInvalidatedByImageUpdate) {
   }
   {
     UpdateGuard g(ss.lock());
-    Pregion* second = as.FindPregion(kArenaBase, nullptr);
+    Pregion* second = as.FindPregion(kArenaBase);
     ASSERT_NE(second, nullptr);
     EXPECT_EQ(second->region->pages(), 2u);  // the new pregion
   }
@@ -268,11 +267,11 @@ TEST(Lookup, PrivateHintDroppedOnDetach) {
   Fixture f;
   auto a = MapAnon(f.as, kPageSize);
   ASSERT_TRUE(a.ok());
-  bool shared = true;
-  ASSERT_NE(f.as.FindPregion(a.value(), &shared), nullptr);
-  EXPECT_FALSE(shared);
+  Pregion* pr = f.as.FindPregion(a.value());
+  ASSERT_NE(pr, nullptr);
+  EXPECT_EQ(f.as.FindPrivate(a.value()), pr);  // found on the private list
   ASSERT_TRUE(Unmap(f.as, a.value()).ok());
-  EXPECT_EQ(f.as.FindPregion(a.value(), nullptr), nullptr);
+  EXPECT_EQ(f.as.FindPregion(a.value()), nullptr);
 }
 
 TEST(VmOps, SbrkGrowShrinkRoundTrip) {
@@ -384,6 +383,54 @@ TEST(FaultFallback, BlocksUntilUpdaterReleases) {
   t.join();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), 0x5eedu);
+}
+
+// A copy-on-write break taken on the fallback path replaces a frame other
+// members may still translate to, so it must flush every member, as the
+// lockless path does. The reader caches a read-only translation of a frame
+// a fork child shares; the writer's store, sent to the fallback by an open
+// write section, breaks the COW; the reader must then see the new frame.
+TEST(FaultFallback, CowBreakFlushesEveryMember) {
+  PhysMem mem(16 * kPageSize);
+  CpuSet cpus(2);
+  SharedSpace ss(cpus);
+  AddressSpace writer(mem);
+  AddressSpace reader(mem);
+  writer.set_shared(&ss);
+  reader.set_shared(&ss);
+  {
+    UpdateGuard g(ss.lock());
+    ss.AddMemberTlb(&writer.tlb());
+    ss.AddMemberTlb(&reader.tlb());
+  }
+  auto base = MapAnon(writer, kPageSize);
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(Store<u32>(writer, base.value(), 1).ok());
+  AddressSpace child(mem);
+  ASSERT_TRUE(DuplicateForFork(writer, child).ok());  // the frame is COW-shared now
+  ASSERT_EQ(Load<u32>(reader, base.value()).value(), 1u);  // cached read-only
+
+  obs::Stats& stats = obs::Stats::Global();
+  const u64 fallbacks0 = stats.CounterValue("vm.fault.fallbacks");
+  const u64 cow_breaks0 = stats.CounterValue("vm.cow_breaks");
+  Status stored = Errno::kEFAULT;
+  std::thread t;
+  {
+    UpdateGuard g(ss.lock());
+    SeqWriter w(ss.layout_seq());
+    t = std::thread([&] { stored = Store<u32>(writer, base.value(), 2); });
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (stats.CounterValue("vm.fault.fallbacks") == fallbacks0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }
+  t.join();
+  ASSERT_TRUE(stored.ok());
+  EXPECT_GT(stats.CounterValue("vm.fault.fallbacks"), fallbacks0);
+  EXPECT_GT(stats.CounterValue("vm.cow_breaks"), cow_breaks0);
+  EXPECT_EQ(Load<u32>(reader, base.value()).value(), 2u);
+  EXPECT_EQ(Load<u32>(child, base.value()).value(), 1u);
 }
 
 // Faulters refault a shared page as fast as they can while one updater

@@ -7,7 +7,9 @@
 #
 #   default  — RelWithDebInfo, full test suite (includes the sgcheck
 #              self-test and the sgcheck run over the repo itself)
-#   tsan     — ThreadSanitizer, sync/core/VM-focused suite (preset filter)
+#   tsan     — ThreadSanitizer, sync/core/VM-focused suite plus every
+#              BlockOn sleeper's suite: pipes, SysV IPC, wait/pause/sigpause
+#              and PR_BLOCKGROUP (preset filter)
 #   lockdep  — runtime lock-order + sleep-under-spin validator, full suite
 #   asan     — AddressSanitizer, full suite
 #   ubsan    — UndefinedBehaviorSanitizer (hard errors), full suite
