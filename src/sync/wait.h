@@ -50,6 +50,8 @@ Status BlockOn(std::condition_variable& cv, std::unique_lock<std::mutex>& l, Sle
     if (ctx != nullptr) {
       ctx->WillBlock();
     }
+    // Before the signal check: an EINTR return has given the CPU back too.
+    *slept = true;
     if (interruptible) {
       ctx->SetWakeup(&cv, l.mutex());
       if (ctx->InterruptPending()) {
@@ -57,7 +59,6 @@ Status BlockOn(std::condition_variable& cv, std::unique_lock<std::mutex>& l, Sle
         return Errno::kEINTR;
       }
     }
-    *slept = true;
     cv.wait(l);
     if (interruptible) {
       ctx->ClearWakeup();

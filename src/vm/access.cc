@@ -1,7 +1,6 @@
 #include "vm/access.h"
 
 #include "base/check.h"
-#include "base/mutex.h"
 #include "base/thread_annotations.h"
 #include "inject/inject.h"
 #include "obs/stats.h"
@@ -56,25 +55,25 @@ bool ProtAllows(const Pregion& pr, bool want_write) {
 }
 
 // Resolves one page of `pr` and installs the translation in the faulter's
-// TLB. `flush_members(vpn)` runs when a COW break replaced the frame,
+// TLB, both under the region lock, so a pager steal (which holds it from its
+// flush to its copy-out) lands wholly before the resolution or wholly after
+// the insert. `flush_members(vpn)` runs when a COW break replaced the frame,
 // BEFORE the insert — for a shared pregion it must drop every member's
 // stale translation so their next access refaults onto the new frame.
 template <typename FlushFn>
 Status ResolveAndMap(AddressSpace& as, Pregion& pr, vaddr_t va, bool want_write,
                      FlushFn&& flush_members) {
-  auto res = pr.region->Resolve(pr.PageIndex(va), want_write);
-  if (!res.ok()) {
-    return res.status();
-  }
-  if (res.value().frame_changed) {
-    as.cow_breaks.fetch_add(1, std::memory_order_relaxed);
-    SG_OBS_INC("vm.cow_breaks");
-    obs::Trace(obs::TraceKind::kCowBreak, va);
-    flush_members(PageOf(va));
-  }
-  const bool tlb_writable = res.value().writable && (pr.prot & kProtWrite) != 0;
-  as.tlb().Insert(PageOf(va), res.value().pfn, tlb_writable);
-  return Status::Ok();
+  auto map = [&](const PageResolution& res) {
+    if (res.frame_changed) {
+      as.cow_breaks.fetch_add(1, std::memory_order_relaxed);
+      SG_OBS_INC("vm.cow_breaks");
+      obs::Trace(obs::TraceKind::kCowBreak, va);
+      flush_members(PageOf(va));
+    }
+    const bool tlb_writable = res.writable && (pr.prot & kProtWrite) != 0;
+    as.tlb().Insert(PageOf(va), res.pfn, tlb_writable);
+  };
+  return pr.region->Resolve(pr.PageIndex(va), want_write, map).status();
 }
 
 // How one attempt against the published layout ended.
@@ -113,16 +112,11 @@ Attempt SharedAttempt(AddressSpace& as, SharedSpace& ss, vaddr_t va, bool want_w
   // page count: nothing on this lookup blocks.
   if (Pregion* pr = snap->Find(va); pr != nullptr) {
     if (ProtAllows(*pr, want_write)) {
-      // The pregion lock closes the resolve/insert vs pager-steal
-      // window; writers never take it — the seqcount recheck below is
-      // what protects against them.
-      // sgcheck:allow(sleep-in-atomic): §4h lock order — the per-pregion
-      // mutex is taken under the epoch pin by design; its holders (fault
-      // path, pager steal) never sleep while resolving.
-      MutexGuard pl(pr->lock);
+      // The region lock closes the resolve/insert vs pager-steal window;
+      // layout writers are caught by the seqcount recheck below instead.
       // sgcheck:allow(sleep-in-atomic): §4h — resolve takes the region
-      // mutex (leaf) and may touch swap via the slot-ownership protocol;
-      // the epoch pin is expected to span the whole resolve+flush+recheck.
+      // mutex (spinning briefly first) and may read swap; the epoch pin is
+      // expected to span the whole resolve+flush+insert+recheck.
       st = ResolveAndMap(as, *pr, va, want_write, [&](u64 vpn) {
         // Frame change published to every member BEFORE the seqcount
         // re-check: a membership/layout change that could widen the
@@ -153,9 +147,10 @@ Attempt SharedAttempt(AddressSpace& as, SharedSpace& ss, vaddr_t va, bool want_w
 //
 // Private pregions are owner-thread state and resolve with no locking at
 // all. For the shared image, SharedAttempt looks `va` up in the published
-// snapshot under an epoch guard, resolves the page under only that
-// pregion's lock, and REVALIDATES the layout seqcount: unchanged means no
-// mutation straddled the resolution and the installed translation stands.
+// snapshot under an epoch guard, resolves the page and inserts its
+// translation under that region's lock, and REVALIDATES the layout
+// seqcount: unchanged means no mutation straddled the resolution and the
+// installed translation stands.
 // A failed revalidation retries; retry exhaustion or an in-progress writer
 // falls back to the group's update lock — which blocks until the updater
 // finishes, exactly how a member that trapped after a shootdown waits for

@@ -28,11 +28,9 @@ u64 ReclaimPages(AddressSpace& as, u64 target) {
       if (stolen >= target) {
         break;
       }
-      // The pregion lock excludes concurrent lockless faulters on this
-      // pregion: without it, a faulter could resolve a frame, lose the
-      // race to our flush-then-copy-out, and insert a stale translation to
-      // a frame we just swapped out.
-      MutexGuard pl(pr->lock);
+      // StealPages holds the region lock from each flush to its copy-out,
+      // and a lockless faulter inserts under the same lock, so no stale
+      // translation to a frame we swap out survives.
       const u64 vpn0 = PageOf(pr->base);
       stolen += pr->region->StealPages(target - stolen, [&](u64 idx) {
         SharedSpace::FlushPageAll(layout, vpn0 + idx);

@@ -8,7 +8,6 @@
 
 #include <memory>
 
-#include "base/mutex.h"
 #include "base/types.h"
 #include "vm/region.h"
 
@@ -26,16 +25,6 @@ struct Pregion {
   vaddr_t base = 0;  // lowest virtual address of the attachment
   u32 prot = kProtRw;
   pid_t stack_owner = 0;  // for stack pregions: pid the stack was made for
-
-  // Per-pregion lock (DESIGN.md §4h): a shared-list faulter holds it
-  // across {Resolve, member flush, TLB insert} and the pager holds it
-  // around StealPages, so a steal's flush-before-copy-out can never
-  // interleave with a resolve's insert-after-release and leave a stale
-  // TLB entry. Private-list pregions never need it — only the owner thread
-  // touches them. Lock order: [group update lock] -> pregion lock ->
-  // region lock -> TLB lock.
-  // Host-level (sg::Mutex): critical sections are one page's resolution.
-  mutable Mutex lock;
 
   Pregion(std::shared_ptr<Region> r, vaddr_t b, u32 p) : region(std::move(r)), base(b), prot(p) {}
 

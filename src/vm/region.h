@@ -12,7 +12,10 @@
 // callers reach the region either through the group's UpdateLock or, on the
 // lockless fault path, under an epoch pin (see vm/access.cc) — the two
 // forms of the paper's fix for the "implicit pointers into the region"
-// problem of stock V.3.
+// problem of stock V.3. A fault installs its translation under this lock
+// (Resolve's `map`), and a pager steal holds it from its TLB flush to its
+// copy-out, so neither lands inside the other. Lock order: [group update
+// lock] -> region lock -> TLB spinlock.
 #ifndef SRC_VM_REGION_H_
 #define SRC_VM_REGION_H_
 
@@ -86,9 +89,11 @@ class Region {
   u64 pages() const { return npages_.load(std::memory_order_acquire); }
 
   // Resolves page `idx` for an access, allocating a zero frame on first
-  // touch and breaking copy-on-write when `want_write`. kEFAULT if the index
-  // is out of range; kENOMEM if physical memory is exhausted.
-  Result<PageResolution> Resolve(u64 idx, bool want_write);
+  // touch and breaking copy-on-write when `want_write`, then runs
+  // `map(resolution)` before the region lock drops. kEFAULT if the index is
+  // out of range; kENOMEM if physical memory is exhausted (`map` not run).
+  template <typename MapFn>
+  Result<PageResolution> Resolve(u64 idx, bool want_write, MapFn&& map);
 
   // Grows the region to `new_pages` (demand-zero). kEINVAL if shrinking.
   Status GrowTo(u64 new_pages);
@@ -151,6 +156,11 @@ class Region {
  private:
   Region(PhysMem& mem, RegionType type, u64 pages);
 
+  // Takes lock_ for a fault: brief try_lock spins, then a sleeping lock().
+  void LockForFault();
+  // Resolve under lock_ (held by the caller).
+  Result<PageResolution> ResolveLocked(u64 idx, bool want_write);
+
   // Steals one page (caller holds lock_, preconditions checked). Returns
   // false if the swap device is full.
   template <typename FlushFn>
@@ -174,6 +184,17 @@ class Region {
   u64 source_len_ = 0;
   bool shared_mapping_ = false;
 };
+
+template <typename MapFn>
+Result<PageResolution> Region::Resolve(u64 idx, bool want_write, MapFn&& map) {
+  LockForFault();
+  std::lock_guard<std::mutex> l(lock_, std::adopt_lock);
+  auto res = ResolveLocked(idx, want_write);
+  if (res.ok()) {
+    map(res.value());
+  }
+  return res;
+}
 
 // ----- pager support (template bodies) -----
 

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "api/kernel.h"
 #include "api/user_env.h"
 #include "hw/swap.h"
+#include "hw/tlb.h"
 #include "vm/pager.h"
 
 namespace sg {
@@ -107,6 +110,49 @@ TEST(Pager, SharedFramesAreNeverStolen) {
   auto twin = data->DupCow();  // the frame is now COW-shared
   EXPECT_EQ(ReclaimPages(as, 4), 0u);  // nothing eligible
   (void)twin;
+}
+
+// A fault resolves and inserts its translation under the region lock, and
+// a steal flushes and copies out under it. So a steal racing a fault lands
+// after the insert, and its flush removes the fresh translation: none to
+// the stolen frame survives. A second faulter arriving during the hold
+// spins, then sleeps on the lock until the hold ends.
+TEST(Pager, StealCannotFallBetweenResolveAndInsert) {
+  PhysMem mem(8 * kPageSize);
+  SwapSpace swap(8);
+  mem.AttachSwap(&swap);
+  auto region = Region::Alloc(mem, RegionType::kAnon, 1);
+  ASSERT_TRUE(region->Resolve(0, true, [](const PageResolution&) {}).ok());
+  Tlb tlb;
+  std::atomic<bool> mapping{false};
+  std::atomic<bool> mapped{false};
+  std::atomic<bool> flushed{false};
+  bool flushed_before_insert = true;
+  auto slow_map = [&](const PageResolution& res) {
+    mapping = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    flushed_before_insert = flushed.load();
+    tlb.Insert(0, res.pfn, res.writable);
+    mapped = true;
+  };
+  std::thread faulter([&] { EXPECT_TRUE(region->Resolve(0, false, slow_map).ok()); });
+  while (!mapping) {
+    std::this_thread::yield();
+  }
+  std::thread second([&] {
+    EXPECT_FALSE(mapped.load());  // arrives during the hold...
+    EXPECT_TRUE(region->Resolve(0, false, [](const PageResolution&) {}).ok());
+    EXPECT_TRUE(mapped.load());  // ...and gets the lock only after it
+  });
+  const u64 stolen = region->StealPages(1, [&](u64 idx) {
+    flushed = true;
+    tlb.FlushPage(idx);
+  });
+  faulter.join();
+  second.join();
+  EXPECT_FALSE(flushed_before_insert);
+  EXPECT_EQ(stolen, 1u);
+  EXPECT_EQ(tlb.Probe(0, false).kind, TlbProbe::Kind::kMiss);
 }
 
 TEST(Pager, FaultPathReclaimsTransparently) {

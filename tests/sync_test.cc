@@ -88,7 +88,9 @@ class RecordingCtx final : public ExecutionContext {
  public:
   void WillBlock() override { ++blocks; }
   void DidWake() override { ++wakes; }
+  bool InterruptPending() override { return interrupt; }
   void SetWakeup(std::condition_variable*, std::mutex*) override { ++registrations; }
+  bool interrupt = false;
   int blocks = 0;
   int wakes = 0;
   int registrations = 0;
@@ -156,6 +158,27 @@ TEST(ExecutionContext, UninterruptibleBlockOnRegistersNoWakeup) {
   t.join();
   EXPECT_EQ(ctx.registrations, 0);
   EXPECT_GE(ctx.blocks, 1);
+  EXPECT_EQ(ctx.wakes, 1);
+}
+
+// An interruptible sleep gives its CPU back before it checks for a pending
+// signal. When the signal is already pending on the first pass, it returns
+// kEINTR without sleeping, and FinishSleep must still take the CPU back.
+TEST(ExecutionContext, InterruptedFirstPassRetakesCpu) {
+  std::mutex m;
+  std::condition_variable cv;
+  RecordingCtx ctx;
+  ctx.interrupt = true;
+  ScopedExecutionContext scope(&ctx);
+  bool slept = false;
+  Status st;
+  {
+    std::unique_lock<std::mutex> l(m);
+    st = BlockOn(cv, l, SleepMode::kInterruptible, &slept, [] { return false; });
+  }
+  FinishSleep(slept);
+  EXPECT_EQ(st.error(), Errno::kEINTR);
+  EXPECT_EQ(ctx.blocks, 1);
   EXPECT_EQ(ctx.wakes, 1);
 }
 

@@ -195,8 +195,9 @@ void RunVmStorm(u64 seed, const inject::PlanConfig& cfg) {
   // no graveyard pregion leaked its region's pages or their group charge.
   EXPECT_EQ(k.mem().FreeFrames(), free_at_boot);
   // Under the lockdep preset every schedule must keep the lock-order graph
-  // acyclic — the pregion lock nests inside the group's update lock on
-  // the fallback path and stands alone on the lockless path.
+  // acyclic — the region lock nests inside the group's update lock on the
+  // fallback path and stands alone on the lockless path, and the TLB
+  // spinlocks nest inside it on both.
   EXPECT_EQ(lockdep::Reports(), 0u) << lockdep::RenderReport();
 }
 

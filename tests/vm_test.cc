@@ -27,11 +27,11 @@ TEST(Region, DemandZeroResolve) {
   auto r = Region::Alloc(mem, RegionType::kData, 4);
   EXPECT_EQ(r->pages(), 4u);
   EXPECT_EQ(r->ResidentPages(), 0u);
-  auto res = r->Resolve(2, /*want_write=*/false);
+  auto res = r->Resolve(2, /*want_write=*/false, [](const PageResolution&) {});
   ASSERT_TRUE(res.ok());
   EXPECT_TRUE(res.value().writable);  // plain page: full access
   EXPECT_EQ(r->ResidentPages(), 1u);
-  EXPECT_EQ(r->Resolve(9, false).error(), Errno::kEFAULT);
+  EXPECT_EQ(r->Resolve(9, false, [](const PageResolution&) {}).error(), Errno::kEFAULT);
 }
 
 TEST(Region, CowDupSharesThenSplits) {
@@ -46,12 +46,12 @@ TEST(Region, CowDupSharesThenSplits) {
   EXPECT_EQ(0, std::memcmp(out, payload, 3));
   const u64 free_before = mem.FreeFrames();
   // Read resolve keeps sharing (maps read-only).
-  auto read_res = b->Resolve(0, false);
+  auto read_res = b->Resolve(0, false, [](const PageResolution&) {});
   ASSERT_TRUE(read_res.ok());
   EXPECT_FALSE(read_res.value().writable);
   EXPECT_EQ(mem.FreeFrames(), free_before);
   // Write resolve breaks COW: new frame, contents preserved.
-  auto write_res = b->Resolve(0, true);
+  auto write_res = b->Resolve(0, true, [](const PageResolution&) {});
   ASSERT_TRUE(write_res.ok());
   EXPECT_TRUE(write_res.value().writable);
   EXPECT_TRUE(write_res.value().frame_changed);
@@ -59,7 +59,7 @@ TEST(Region, CowDupSharesThenSplits) {
   ASSERT_TRUE(b->ReadBack(0, out).ok());
   EXPECT_EQ(0, std::memcmp(out, payload, 3));
   // The source side regains write access without copying (sole owner now).
-  auto src_res = a->Resolve(0, true);
+  auto src_res = a->Resolve(0, true, [](const PageResolution&) {});
   ASSERT_TRUE(src_res.ok());
   EXPECT_FALSE(src_res.value().frame_changed);
 }
@@ -70,7 +70,7 @@ TEST(Region, GrowAndShrinkFreeFrames) {
   ASSERT_TRUE(r->GrowTo(4).ok());
   EXPECT_EQ(r->pages(), 4u);
   for (u64 i = 0; i < 4; ++i) {
-    ASSERT_TRUE(r->Resolve(i, true).ok());
+    ASSERT_TRUE(r->Resolve(i, true, [](const PageResolution&) {}).ok());
   }
   const u64 free_before = mem.FreeFrames();
   ASSERT_TRUE(r->ShrinkTo(1).ok());

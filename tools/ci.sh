@@ -7,9 +7,11 @@
 #
 #   default  — RelWithDebInfo, full test suite (includes the sgcheck
 #              self-test and the sgcheck run over the repo itself)
-#   tsan     — ThreadSanitizer, sync/core/VM-focused suite plus every
-#              BlockOn sleeper's suite: pipes, SysV IPC, wait/pause/sigpause
-#              and PR_BLOCKGROUP (preset filter)
+#   tsan     — ThreadSanitizer, sync/core/VM-focused suite (file-backed
+#              mappings included: their faults insert under the region lock
+#              that inode reads and writeback hold) plus every BlockOn
+#              sleeper's suite: pipes, SysV IPC, wait/pause/sigpause and
+#              PR_BLOCKGROUP (preset filter)
 #   lockdep  — runtime lock-order + sleep-under-spin validator, full suite
 #   asan     — AddressSanitizer, full suite
 #   ubsan    — UndefinedBehaviorSanitizer (hard errors), full suite
