@@ -158,23 +158,7 @@ void Kernel::TerminateProcess(Proc& p, int status, int signal) {
   p.term_signal = signal;
   obs::Trace(obs::TraceKind::kProcExit, static_cast<u64>(status), static_cast<u64>(signal));
 
-  // Release the u-area's counted resources. Only this process's own
-  // references go away; a share group's master copies (which hold their own
-  // bumped counts, §6.3) are untouched until the block itself dies.
-  for (int fd = 0; fd < FdTable::kMaxFds; ++fd) {
-    auto f = p.fds.ClearSlot(fd);
-    if (f.ok()) {
-      vfs_.files().Release(f.value());
-    }
-  }
-  if (p.cwd != nullptr) {
-    vfs_.inodes().Iput(p.cwd);
-    p.cwd = nullptr;
-  }
-  if (p.rootdir != nullptr) {
-    vfs_.inodes().Iput(p.rootdir);
-    p.rootdir = nullptr;
-  }
+  ReleaseUArea(p);
 
   // Leave the share group; the last member tears the block down.
   if (p.shaddr != nullptr) {
@@ -209,6 +193,22 @@ void Kernel::TerminateProcess(Proc& p, int status, int signal) {
   }
   reap_cv_.notify_all();
   p.ReleaseCpuFinal();
+}
+
+void Kernel::ReleaseUArea(Proc& p) {
+  for (int fd = 0; fd < FdTable::kMaxFds; ++fd) {
+    if (auto f = p.fds.ClearSlot(fd); f.ok()) {
+      vfs_.files().Release(f.value());
+    }
+  }
+  if (p.cwd != nullptr) {
+    vfs_.inodes().Iput(p.cwd);
+    p.cwd = nullptr;
+  }
+  if (p.rootdir != nullptr) {
+    vfs_.inodes().Iput(p.rootdir);
+    p.rootdir = nullptr;
+  }
 }
 
 WaitResult Kernel::Reap(Proc* z) {

@@ -220,6 +220,12 @@ class Kernel {
   // Copies the non-VM u-area from parent to child (fds/dirs/ids/limits,
   // signal dispositions).
   void InheritUArea(Proc& parent, Proc& child);
+  // Drops the u-area's own counted references (descriptors, cwd, root):
+  // exit, and a child whose creation failed. A share group's master copies
+  // hold their own counts (§6.3) and die with the block.
+  void ReleaseUArea(Proc& p);
+  // Unwinds a half-built child that never ran.
+  void AbortEmbryo(Proc* c);
   // Binds the entry closure and spawns the host thread.
   void StartProcThread(Proc* c, UserFn fn, long arg);
   // Thread body of every simulated process.
@@ -234,13 +240,23 @@ class Kernel {
   std::vector<obs::GroupStatus> SnapshotGroups();
 
   Cred CredOf(const Proc& p) const { return Cred{p.uid, p.gid}; }
-  // The share block to use for fd-table updates, or null if not sharing.
-  // One atomic snapshot of p.shaddr: identity (shaddr + p_shmask) is
-  // published before link and cleared before unlink, so a non-null b with
-  // PR_SFDS set is safe to use here.
-  ShaddrBlock* FdBlock(Proc& p) {
+  // The share block through which p updates the resource `share` (a PR_S*
+  // bit), or null if p does not share it. One atomic snapshot of p.shaddr:
+  // identity (shaddr + p_shmask) is published before link and cleared
+  // before unlink, so a non-null b with the bit set is safe to use here.
+  static ShaddrBlock* SharedBlock(Proc& p, u32 share) {
     ShaddrBlock* b = p.shaddr;
-    return (b != nullptr && (p.p_shmask & PR_SFDS) != 0) ? b : nullptr;
+    return (b != nullptr && (p.p_shmask & share) != 0) ? b : nullptr;
+  }
+  // Applies change(p) to p's copy of the scalar resource `r` (ids, umask,
+  // ulimit): through the block's update protocol when p shares it.
+  template <typename Fn>
+  static void ChangeScalar(Proc& p, SyncRes r, Fn&& change) {
+    if (ShaddrBlock* b = SharedBlock(p, ShaddrBlock::kSyncTable[r].share); b != nullptr) {
+      b->UpdateScalar(p, r, change);
+    } else {
+      change(p);
+    }
   }
 
   BootParams params_;

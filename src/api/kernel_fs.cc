@@ -107,7 +107,7 @@ Result<int> Kernel::Open(Proc& p, std::string_view path, u32 flags, mode_t mode)
   if (!f.ok()) {
     result = f.error();
   } else {
-    FdUpdate u(vfs_.files(), p, FdBlock(p));
+    FdUpdate u(vfs_.files(), p, SharedBlock(p, PR_SFDS));
     if (FdCapAllows(u.block(), 1)) {
       result = p.fds.AllocSlot(f.value());
     }
@@ -127,7 +127,7 @@ Status Kernel::Close(Proc& p, int fd) {
   SG_OBS_SYSCALL("close");
   Status st = Status::Ok();
   {
-    FdUpdate u(vfs_.files(), p, FdBlock(p));
+    FdUpdate u(vfs_.files(), p, SharedBlock(p, PR_SFDS));
     auto f = p.fds.ClearSlot(fd);
     if (!f.ok()) {
       st = f.error();
@@ -144,7 +144,7 @@ Result<int> Kernel::Dup(Proc& p, int fd) {
   SG_OBS_SYSCALL("dup");
   Result<int> result = Errno::kEBADF;
   {
-    FdUpdate u(vfs_.files(), p, FdBlock(p));
+    FdUpdate u(vfs_.files(), p, SharedBlock(p, PR_SFDS));
     auto f = p.fds.Get(fd);
     if (f.ok() && !FdCapAllows(u.block(), 1)) {
       result = Errno::kEAGAIN;
@@ -164,7 +164,7 @@ Result<int> Kernel::Dup2(Proc& p, int fd, int newfd) {
   SG_OBS_SYSCALL("dup2");
   Result<int> result = Errno::kEBADF;
   {
-    FdUpdate u(vfs_.files(), p, FdBlock(p));
+    FdUpdate u(vfs_.files(), p, SharedBlock(p, PR_SFDS));
     auto f = p.fds.Get(fd);
     if (f.ok() && p.fds.ValidFd(newfd)) {
       if (fd == newfd) {
@@ -192,7 +192,7 @@ Status Kernel::SetCloexec(Proc& p, int fd, bool on) {
   SG_OBS_SYSCALL("setcloexec");
   Status st = Status::Ok();
   {
-    FdUpdate u(vfs_.files(), p, FdBlock(p));  // s_pofile mirrors the flag bytes too
+    FdUpdate u(vfs_.files(), p, SharedBlock(p, PR_SFDS));  // s_pofile mirrors the flag bytes too
     if (!p.fds.ValidFd(fd) || !p.fds.Slot(fd).used()) {
       st = Errno::kEBADF;
     } else {
@@ -223,7 +223,7 @@ Result<std::pair<int, int>> Kernel::MakePipe(Proc& p) {
     result = made.error();
   } else {
     auto [rd, wr] = made.value();
-    FdUpdate u(vfs_.files(), p, FdBlock(p));
+    FdUpdate u(vfs_.files(), p, SharedBlock(p, PR_SFDS));
     if (FdCapAllows(u.block(), 2)) {  // a pipe admits both ends or neither
       auto rfd = p.fds.AllocSlot(rd);
       auto wfd = rfd.ok() ? p.fds.AllocSlot(wr) : Result<int>(Errno::kEMFILE);
@@ -420,10 +420,10 @@ Status Kernel::Chdir(Proc& p, std::string_view path) {
   Status st = Status::Ok();
   if (!dir.ok()) {
     st = dir.status();
-  } else if (p.shaddr != nullptr && (p.p_shmask & PR_SDIR) != 0) {
+  } else if (ShaddrBlock* b = SharedBlock(p, PR_SDIR); b != nullptr) {
     // "the ability to change the working directory ... of an entire set of
     // processes at once" (§4).
-    p.shaddr->UpdateDir(p, dir.value(), nullptr);
+    b->UpdateDir(p, dir.value(), nullptr);
   } else {
     vfs_.inodes().Iput(p.cwd);
     p.cwd = dir.value();
@@ -442,8 +442,8 @@ Status Kernel::Chroot(Proc& p, std::string_view path) {
     auto dir = ResolveDir(vfs_, p, CredOf(p), path);
     if (!dir.ok()) {
       st = dir.status();
-    } else if (p.shaddr != nullptr && (p.p_shmask & PR_SDIR) != 0) {
-      p.shaddr->UpdateDir(p, nullptr, dir.value());
+    } else if (ShaddrBlock* b = SharedBlock(p, PR_SDIR); b != nullptr) {
+      b->UpdateDir(p, nullptr, dir.value());
     } else {
       vfs_.inodes().Iput(p.rootdir);
       p.rootdir = dir.value();

@@ -104,27 +104,11 @@ void Kernel::InheritUArea(Proc& parent, Proc& child) {
                           std::memory_order_relaxed);
 }
 
-namespace {
-
-// Unwinds a half-built child that never ran.
-void AbortEmbryo(Kernel& k, Proc* c) {
-  for (int fd = 0; fd < FdTable::kMaxFds; ++fd) {
-    auto f = c->fds.ClearSlot(fd);
-    if (f.ok()) {
-      k.vfs().files().Release(f.value());
-    }
-  }
-  if (c->cwd != nullptr) {
-    k.vfs().inodes().Iput(c->cwd);
-  }
-  if (c->rootdir != nullptr) {
-    k.vfs().inodes().Iput(c->rootdir);
-  }
+void Kernel::AbortEmbryo(Proc* c) {
+  ReleaseUArea(*c);
   c->as.DetachAllPrivate();
-  k.procs().Free(c);
+  procs_.Free(c);
 }
-
-}  // namespace
 
 Result<pid_t> Kernel::Fork(Proc& p, UserFn entry, long arg) {
   SyscallEnter(p);
@@ -142,7 +126,7 @@ Result<pid_t> Kernel::Fork(Proc& p, UserFn entry, long arg) {
   // any group-visible stacks) and is NOT a member.
   Status st = DuplicateForFork(p.as, c->as);
   if (!st.ok()) {
-    AbortEmbryo(*this, c);
+    AbortEmbryo(c);
     SyscallExit(p);
     return st.error();
   }
@@ -228,7 +212,7 @@ Result<pid_t> Kernel::Sproc(Proc& p, UserFn entry, u32 shmask, long arg) {
       // The child never attached; return its admission charge ourselves.
       block->rm_node()->Uncharge(rm::Resource::kMembers, 1);
     }
-    AbortEmbryo(*this, c);
+    AbortEmbryo(c);
     SyscallExit(p);
     return st.error();
   }
@@ -471,10 +455,8 @@ Status Kernel::Setuid(Proc& p, uid_t uid) {
   Status st = Status::Ok();
   if (p.uid != 0 && uid != p.uid) {
     st = Errno::kEPERM;
-  } else if (p.shaddr != nullptr && (p.p_shmask & PR_SID) != 0) {
-    p.shaddr->UpdateIds(p, &uid, nullptr);
   } else {
-    p.uid = uid;
+    ChangeScalar(p, kResIds, [uid](Proc& q) { q.uid = uid; });
   }
   SyscallExit(p);
   return st;
@@ -486,10 +468,8 @@ Status Kernel::Setgid(Proc& p, gid_t gid) {
   Status st = Status::Ok();
   if (p.uid != 0 && gid != p.gid) {
     st = Errno::kEPERM;
-  } else if (p.shaddr != nullptr && (p.p_shmask & PR_SID) != 0) {
-    p.shaddr->UpdateIds(p, nullptr, &gid);
   } else {
-    p.gid = gid;
+    ChangeScalar(p, kResIds, [gid](Proc& q) { q.gid = gid; });
   }
   SyscallExit(p);
   return st;
@@ -499,11 +479,7 @@ Result<mode_t> Kernel::Umask(Proc& p, mode_t mask) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("umask");
   const mode_t old = p.umask;
-  if (p.shaddr != nullptr && (p.p_shmask & PR_SUMASK) != 0) {
-    p.shaddr->UpdateUmask(p, mask);
-  } else {
-    p.umask = static_cast<mode_t>(mask & kModeAll);
-  }
+  ChangeScalar(p, kResUmask, [mask](Proc& q) { q.umask = static_cast<mode_t>(mask & kModeAll); });
   SyscallExit(p);
   return old;
 }
@@ -522,10 +498,8 @@ Status Kernel::UlimitSet(Proc& p, u64 bytes) {
   Status st = Status::Ok();
   if (bytes > p.ulimit && p.uid != 0) {
     st = Errno::kEPERM;  // only the superuser may raise the limit
-  } else if (p.shaddr != nullptr && (p.p_shmask & PR_SULIMIT) != 0) {
-    p.shaddr->UpdateUlimit(p, bytes);
   } else {
-    p.ulimit = bytes;
+    ChangeScalar(p, kResUlimit, [bytes](Proc& q) { q.ulimit = bytes; });
   }
   SyscallExit(p);
   return st;

@@ -8,6 +8,7 @@
 #include "obs/trace.h"
 #include "sync/seqcount.h"
 #include "sync/update_lock.h"
+#include "vm/vm_ops.h"
 
 namespace sg {
 
@@ -76,10 +77,11 @@ ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceMana
   node_->ChargeForced(rm::Resource::kMembers, 1);
   cdir_ = vfs_.inodes().Iget(creator.cwd);
   rdir_ = vfs_.inodes().Iget(creator.rootdir);
-  cmask_ = creator.umask;
-  limit_ = creator.ulimit;
-  uid_ = creator.uid;
-  gid_ = creator.gid;
+  for (const SyncRow& row : kSyncTable) {
+    if (row.to_master != nullptr) {
+      row.to_master(creator, scalars_);
+    }
+  }
 
   // The master copies ARE the creator's current values, so the creator is
   // born synchronized (it may carry stale caches from an earlier group).
@@ -108,12 +110,8 @@ ShaddrBlock::~ShaddrBlock() {
       vfs_.files().Release(s.e.file);
     }
   }
-  if (cdir_ != nullptr) {
-    vfs_.inodes().Iput(cdir_);
-  }
-  if (rdir_ != nullptr) {
-    vfs_.inodes().Iput(rdir_);
-  }
+  vfs_.inodes().Iput(cdir_);
+  vfs_.inodes().Iput(rdir_);
 }
 
 void ShaddrBlock::AddMember(Proc& child, u32 shmask) {
@@ -188,34 +186,9 @@ Status ShaddrBlock::UnshareVm(Proc& p) {
     p.as.AttachPrivate(std::move(stack));
   }
 
-  // Copy-on-write snapshot of everything else, exactly the fork treatment.
-  // One seqcount write section spans the COW marking and the shootdown: a
-  // racing lockless faulter that installed a writable entry off the
-  // pre-marking page table fails its re-check and undoes it.
-  {
-    SeqWriter w(space_.layout_seq());
-    for (const Pregion* pr : space_.locked_layout().pregions) {
-      std::shared_ptr<Region> r;
-      switch (pr->region->type()) {
-        case RegionType::kText:
-        case RegionType::kShm:
-          r = pr->region;
-          break;
-        default:
-          r = pr->region->DupCow();
-          break;
-      }
-      auto copy = std::make_unique<Pregion>(std::move(r), pr->base, pr->prot);
-      copy->stack_owner = pr->stack_owner;
-      if (pr->base >= kArenaBase) {
-        SG_CHECK(p.as.va().Reserve(pr->base, pr->region->pages()).ok());
-      }
-      p.as.AttachPrivate(std::move(copy));
-    }
-    // COW marking revoked write permission group-wide; the moved stack
-    // vanished from the shared image: flush everyone, then detach.
-    space_.ShootdownAll();
-  }
+  // Everything else is copied by the fork rule, ending in the group-wide
+  // shootdown that also covers the stack's move out of the image.
+  CopySharedImage(space_, p.as);
   space_.RemoveMemberTlb(&p.as.tlb());
   p.as.set_shared(nullptr);
   p.as.tlb().FlushAll();
@@ -231,7 +204,7 @@ Status ShaddrBlock::ShadowDataPrivately(Proc& p) {
     return Errno::kEINVAL;
   }
   // The COW marking write-protects the shared data pages for everyone;
-  // bracket it with the shootdown (see UnshareVm).
+  // bracket it with the shootdown (see CopySharedImage).
   SeqWriter w(space_.layout_seq());
   auto copy = std::make_unique<Pregion>(data->region->DupCow(), data->base, data->prot);
   p.as.AttachPrivate(std::move(copy));
@@ -299,9 +272,21 @@ u32 ShaddrBlock::refcnt() const {
 const ShaddrBlock::SyncRow ShaddrBlock::kSyncTable[kNumSyncRes] = {
     {kResFds, PR_SFDS, &ShaddrBlock::SyncFds},
     {kResDir, PR_SDIR, &ShaddrBlock::PullDir},
-    {kResIds, PR_SID, &ShaddrBlock::PullIds},
-    {kResUmask, PR_SUMASK, &ShaddrBlock::PullUmask},
-    {kResUlimit, PR_SULIMIT, &ShaddrBlock::PullUlimit},
+    {kResIds, PR_SID, &ShaddrBlock::PullScalar,
+     [](const Scalars& m, Proc& p) {
+       p.uid = m.uid;
+       p.gid = m.gid;
+     },
+     [](const Proc& p, Scalars& m) {
+       m.uid = p.uid;
+       m.gid = p.gid;
+     }},
+    {kResUmask, PR_SUMASK, &ShaddrBlock::PullScalar,
+     [](const Scalars& m, Proc& p) { p.umask = m.cmask; },
+     [](const Proc& p, Scalars& m) { m.cmask = p.umask; }},
+    {kResUlimit, PR_SULIMIT, &ShaddrBlock::PullScalar,
+     [](const Scalars& m, Proc& p) { p.ulimit = m.limit; },
+     [](const Proc& p, Scalars& m) { m.limit = p.ulimit; }},
 };
 
 void ShaddrBlock::Bump(Proc& p, SyncRes r) {
@@ -336,7 +321,7 @@ void ShaddrBlock::SyncOnKernelEntry(Proc& p) {
   for (const SyncRow& row : kSyncTable) {
     if ((mask & row.share) != 0 &&
         gen_[row.res].load(std::memory_order_acquire) != p.p_sync.gen[row.res]) {
-      (this->*row.pull)(p);
+      (this->*row.pull)(p, row.res);
       pulled |= row.share;
     }
   }
@@ -348,7 +333,7 @@ void ShaddrBlock::SyncOnKernelEntry(Proc& p) {
 
 // ----- file descriptors (under fupdsema_) -----
 
-void ShaddrBlock::SyncFds(Proc& p) {
+void ShaddrBlock::SyncFds(Proc& p, SyncRes) {
   LockFileUpdate();
   PullFds(p);
   UnlockFileUpdate();
@@ -454,7 +439,7 @@ void ShaddrBlock::PublishFds(Proc& p) {
   SG_OBS_ADD("core.fds.delta_published_slots", changed);
 }
 
-// ----- scalar resources (under rupdlock_) -----
+// ----- directories and scalar resources (under rupdlock_) -----
 
 void ShaddrBlock::UpdateDir(Proc& p, Inode* new_cwd, Inode* new_root) {
   // Inode refcounts live under the inode-table mutex, which may block, so
@@ -489,7 +474,7 @@ void ShaddrBlock::UpdateDir(Proc& p, Inode* new_cwd, Inode* new_root) {
   Bump(p, kResDir);
 }
 
-void ShaddrBlock::PullDir(Proc& p) {
+void ShaddrBlock::PullDir(Proc& p, SyncRes) {
   // Same lock order as UpdateDir: inode-table mutex first, spinlock inside.
   InodeTable& inodes = vfs_.inodes();
   auto tbl = inodes.Acquire();
@@ -502,89 +487,23 @@ void ShaddrBlock::PullDir(Proc& p) {
   SG_OBS_INC("core.scalar_gen_pulls");
 }
 
-void ShaddrBlock::UpdateIds(Proc& p, const uid_t* new_uid, const gid_t* new_gid) {
+void ShaddrBlock::PullScalar(Proc& p, SyncRes r) {
   SpinGuard g(rupdlock_);
-  if (gen_[kResIds].load(std::memory_order_relaxed) != p.p_sync.gen[kResIds]) {
-    p.uid = uid_;
-    p.gid = gid_;
-  }
-  if (new_uid != nullptr) {
-    p.uid = *new_uid;
-  }
-  if (new_gid != nullptr) {
-    p.gid = *new_gid;
-  }
-  uid_ = p.uid;
-  gid_ = p.gid;
-  Bump(p, kResIds);
-}
-
-void ShaddrBlock::PullIds(Proc& p) {
-  SpinGuard g(rupdlock_);
-  p.uid = uid_;
-  p.gid = gid_;
-  p.p_sync.gen[kResIds] = gen_[kResIds].load(std::memory_order_relaxed);
-  SG_OBS_INC("core.scalar_gen_pulls");
-}
-
-void ShaddrBlock::UpdateUmask(Proc& p, mode_t value) {
-  SpinGuard g(rupdlock_);
-  p.umask = static_cast<mode_t>(value & kModeAll);
-  cmask_ = p.umask;
-  Bump(p, kResUmask);
-}
-
-void ShaddrBlock::PullUmask(Proc& p) {
-  SpinGuard g(rupdlock_);
-  p.umask = cmask_;
-  p.p_sync.gen[kResUmask] = gen_[kResUmask].load(std::memory_order_relaxed);
-  SG_OBS_INC("core.scalar_gen_pulls");
-}
-
-void ShaddrBlock::UpdateUlimit(Proc& p, u64 value) {
-  SpinGuard g(rupdlock_);
-  p.ulimit = value;
-  limit_ = value;
-  Bump(p, kResUlimit);
-}
-
-void ShaddrBlock::PullUlimit(Proc& p) {
-  SpinGuard g(rupdlock_);
-  p.ulimit = limit_;
-  p.p_sync.gen[kResUlimit] = gen_[kResUlimit].load(std::memory_order_relaxed);
+  kSyncTable[r].to_member(scalars_, p);
+  p.p_sync.gen[r] = gen_[r].load(std::memory_order_relaxed);
   SG_OBS_INC("core.scalar_gen_pulls");
 }
 
 // ----- diagnostics -----
 
-mode_t ShaddrBlock::cmask() const {
+ShaddrBlock::Scalars ShaddrBlock::scalars() const {
   SpinGuard g(rupdlock_);
-  return cmask_;
-}
-
-u64 ShaddrBlock::limit() const {
-  SpinGuard g(rupdlock_);
-  return limit_;
-}
-
-uid_t ShaddrBlock::uid() const {
-  SpinGuard g(rupdlock_);
-  return uid_;
-}
-
-gid_t ShaddrBlock::gid() const {
-  SpinGuard g(rupdlock_);
-  return gid_;
+  return scalars_;
 }
 
 Inode* ShaddrBlock::cdir() const {
   SpinGuard g(rupdlock_);
   return cdir_;
-}
-
-Inode* ShaddrBlock::rdir() const {
-  SpinGuard g(rupdlock_);
-  return rdir_;
 }
 
 }  // namespace sg

@@ -16,7 +16,7 @@
 //       per slot for delta synchronization
 //   s_cdir / s_rdir -> cdir_/rdir_ (counted inode refs)
 //   s_rupdlock -> rupdlock_ (spinlock for the small shared values)
-//   s_cmask / s_limit / s_uid / s_gid -> cmask_/limit_/uid_/gid_
+//   s_cmask / s_limit / s_uid / s_gid -> scalars_ (one Scalars struct)
 //
 // "Those resources which have reference counts (file descriptors and
 // inodes) have the count bumped one for the shared address block. This
@@ -132,10 +132,11 @@ class ShaddrBlock {
   // last member exits").
   bool RemoveMember(Proc& p);
 
-  // §8 PR_UNSHARE(PR_SADDR): takes a copy-on-write snapshot of the shared
-  // image into `p`'s private space (its own stack MOVES out of the shared
-  // image) and detaches `p` from shared VM. `p` stays a group member for
-  // whatever else it shares.
+  // §8 PR_UNSHARE(PR_SADDR): copies the shared image into `p`'s private
+  // space by fork's rule (CopySharedImage: copy-on-write, except regions
+  // fork keeps shared), moves `p`'s own stack out of the shared image and
+  // detaches `p` from shared VM. `p` stays a group member for whatever
+  // else it shares.
   Status UnshareVm(Proc& p);
 
   // §8 PR_PRIVDATA: shadows the shared DATA region with a private
@@ -168,8 +169,12 @@ class ShaddrBlock {
   //
   // File-descriptor updates are single-threaded by fupdsema_ (s_fupdsema)
   // around the descriptor-table edit of an open/close/dup in the syscall
-  // layer; the small scalar resources complete inside rupdlock_
-  // (s_rupdlock).
+  // layer; the directories and the scalar resources complete inside
+  // rupdlock_ (s_rupdlock). The scalar rows (ids, umask, ulimit) share one
+  // update and one pull, driven by their kSyncTable copy functions; the
+  // fds and dir rows keep their own, because they move counted references
+  // under their own lock orders (the fupdsema_ bracket; the inode-table
+  // mutex before rupdlock_).
 
   // Descriptor-table update bracket. Sequence in the syscall layer:
   //   LockFileUpdate(); PullFds(p); <modify p.fds>; PublishFds(p);
@@ -196,11 +201,33 @@ class ShaddrBlock {
   // unchanged table stamps nothing.
   void PublishFds(Proc& p) SG_REQUIRES(fupdsema_);
 
-  // Scalar resources; null/unset arguments leave that field as-is.
-  void UpdateDir(Proc& p, Inode* new_cwd, Inode* new_root);  // takes over the counted refs
-  void UpdateIds(Proc& p, const uid_t* new_uid, const gid_t* new_gid);
-  void UpdateUmask(Proc& p, mode_t value);
-  void UpdateUlimit(Proc& p, u64 value);
+  // Directory update; takes over the counted refs, and a null argument
+  // leaves that directory as-is.
+  void UpdateDir(Proc& p, Inode* new_cwd, Inode* new_root);
+
+  // The master copies of the scalar resources, guarded by rupdlock_.
+  struct Scalars {
+    mode_t cmask = 022;  // s_cmask
+    u64 limit = 0;       // s_limit
+    uid_t uid = 0;       // s_uid
+    gid_t gid = 0;       // s_gid
+  };
+
+  // Update of the scalar resource `r` (kResIds, kResUmask or kResUlimit):
+  // under rupdlock_, refresh p's copy from the master if gen_[r] moved since
+  // p last synced (the double-update check: a peer's setgid survives our
+  // setuid), apply change(p), copy p's values to the master and Bump.
+  template <typename Fn>
+  void UpdateScalar(Proc& p, SyncRes r, Fn&& change) {
+    const SyncRow& row = kSyncTable[r];
+    SpinGuard g(rupdlock_);
+    if (gen_[r].load(std::memory_order_relaxed) != p.p_sync.gen[r]) {
+      row.to_member(scalars_, p);
+    }
+    change(p);
+    row.to_master(p, scalars_);
+    Bump(p, r);
+  }
 
   // Kernel-entry hook. "When a shared process enters the system via a
   // system call, the collection of bits in p_flag is checked in a single
@@ -209,11 +236,15 @@ class ShaddrBlock {
   void SyncOnKernelEntry(Proc& p);
 
   // One row of the resource table: which share-mask bit covers the
-  // resource and how a member pulls it from the master copy.
+  // resource and how a member pulls it from the master copy. A scalar row
+  // pulls through PullScalar and carries its two copy functions, which
+  // also seed the master copy and serve UpdateScalar.
   struct SyncRow {
     SyncRes res;
     u32 share;  // PR_S* bit
-    void (ShaddrBlock::*pull)(Proc&);
+    void (ShaddrBlock::*pull)(Proc&, SyncRes);
+    void (*to_member)(const Scalars&, Proc&) = nullptr;  // scalar rows only
+    void (*to_master)(const Proc&, Scalars&) = nullptr;  // scalar rows only
   };
   static const SyncRow kSyncTable[kNumSyncRes];
 
@@ -222,12 +253,8 @@ class ShaddrBlock {
   u64 generation(SyncRes r) const { return gen_[r].load(std::memory_order_acquire); }
 
   // Test/diagnostic accessors for the master copies.
-  mode_t cmask() const;
-  u64 limit() const;
-  uid_t uid() const;
-  gid_t gid() const;
+  Scalars scalars() const;
   Inode* cdir() const;
-  Inode* rdir() const;
   // Used descriptors in the master table. Maintained incrementally at
   // publish so the /proc/share snapshot is one atomic load, not a
   // kMaxFds walk under a lock.
@@ -242,11 +269,9 @@ class ShaddrBlock {
 
   // Kernel-entry pulls: refresh the member's private copy from the master
   // and cache the resource's generation read under the same lock.
-  void SyncFds(Proc& p);  // PullFds inside the fupdsema_ bracket
-  void PullDir(Proc& p);
-  void PullIds(Proc& p);
-  void PullUmask(Proc& p);
-  void PullUlimit(Proc& p);
+  void SyncFds(Proc& p, SyncRes);  // PullFds inside the fupdsema_ bracket
+  void PullDir(Proc& p, SyncRes);
+  void PullScalar(Proc& p, SyncRes r);
 
   // Queues a reference the bracket displaced for UnlockFileUpdate.
   void DeferRelease(OpenFile* f) SG_REQUIRES(fupdsema_);
@@ -284,10 +309,7 @@ class ShaddrBlock {
   mutable Spinlock rupdlock_{"shaddr.rupdlock"};  // s_rupdlock
   Inode* cdir_ SG_GUARDED_BY(rupdlock_) = nullptr;  // s_cdir
   Inode* rdir_ SG_GUARDED_BY(rupdlock_) = nullptr;  // s_rdir
-  mode_t cmask_ SG_GUARDED_BY(rupdlock_) = 022;     // s_cmask
-  u64 limit_ SG_GUARDED_BY(rupdlock_) = 0;          // s_limit
-  uid_t uid_ SG_GUARDED_BY(rupdlock_) = 0;          // s_uid
-  gid_t gid_ SG_GUARDED_BY(rupdlock_) = 0;          // s_gid
+  Scalars scalars_ SG_GUARDED_BY(rupdlock_);
 };
 
 }  // namespace sg

@@ -157,6 +157,10 @@ class InodeTable {
   //   auto tbl = inodes.Acquire();   // may block (no spinlock held yet)
   //   SpinGuard g(rupdlock_);
   //   inodes.IputLocked(old);        // pure table ops, never blocks
+  //
+  // Vfs::Namei uses them too: it looks a child up and counts it in one
+  // hold, so an unlink's LinkDec cannot free the child in between. Lock
+  // order: table mutex, then a directory's mutex.
   std::unique_lock<std::mutex> Acquire() const;
   Inode* IgetLocked(Inode* ip);  // caller holds the Acquire() lock
   void IputLocked(Inode* ip);    // caller holds the Acquire() lock

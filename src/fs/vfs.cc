@@ -59,22 +59,25 @@ Result<Inode*> Vfs::Namei(Inode* cwd, Inode* rootdir, const Cred& cred, std::str
       return Errno::kEACCES;
     }
     at->InvokeRefresh();  // synthetic dirs (procfs) re-populate before lookup
-    Inode* next;
-    if (comp == ".") {
-      next = at;
-    } else if (comp == "..") {
+    // Look the child up and count it in one hold of the table lock: an
+    // unlink's last LinkDec takes the same lock, so it cannot free the
+    // child in between. Lock order: inode table, then directory.
+    const std::string name(comp);
+    auto tbl = inodes_.Acquire();
+    Inode* next = at;
+    if (name == "..") {
       // Never climb above the process's root directory (chroot jail).
       next = (at == rootdir) ? at : at->parent;
-    } else {
-      auto found = at->Lookup(std::string(comp));
+    } else if (name != ".") {
+      auto found = at->Lookup(name);
       if (!found.ok()) {
-        inodes_.Iput(at);
+        inodes_.IputLocked(at);
         return found.error();
       }
       next = found.value();
     }
-    next = inodes_.Iget(next);
-    inodes_.Iput(at);
+    inodes_.IgetLocked(next);
+    inodes_.IputLocked(at);
     at = next;
   }
   if (at->type() == InodeType::kDirectory) {

@@ -21,12 +21,18 @@ inline constexpr u32 kProtRw = kProtRead | kProtWrite;
 inline constexpr u32 kProtRx = kProtRead | kProtExec;
 
 struct Pregion {
-  std::shared_ptr<Region> region;
+  const std::shared_ptr<Region> region;
   vaddr_t base = 0;  // lowest virtual address of the attachment
   u32 prot = kProtRw;
   pid_t stack_owner = 0;  // for stack pregions: pid the stack was made for
 
-  Pregion(std::shared_ptr<Region> r, vaddr_t b, u32 p) : region(std::move(r)), base(b), prot(p) {}
+  // Each Pregion is one attachment of its region (Region::StealPages).
+  Pregion(std::shared_ptr<Region> r, vaddr_t b, u32 p) : region(std::move(r)), base(b), prot(p) {
+    ++region->attachments_;
+  }
+  ~Pregion() { --region->attachments_; }
+  Pregion(const Pregion&) = delete;
+  Pregion& operator=(const Pregion&) = delete;
 
   u64 bytes() const { return region->pages() * kPageSize; }
 

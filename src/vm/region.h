@@ -149,11 +149,15 @@ class Region {
   // of a referenced page clears its clock bit (second-chance). For every
   // stolen page, `flushed(idx)` runs BEFORE the frame contents are copied
   // out, so the caller can invalidate any TLB that might still write to it.
-  // Returns the number of pages stolen.
+  // A region attached more than once is never swept: the caller flushes
+  // only the TLBs of the space it sweeps, and another attaching space
+  // (a fork child's MAP_SHARED mapping or SysV segment, a second shmat)
+  // could keep translating the stolen frame. Returns the pages stolen.
   template <typename FlushFn>
   u64 StealPages(u64 want, FlushFn&& flushed);
 
  private:
+  friend struct Pregion;  // counts attachments_
   Region(PhysMem& mem, RegionType type, u64 pages);
 
   // Takes lock_ for a fault: brief try_lock spins, then a sleeping lock().
@@ -177,6 +181,8 @@ class Region {
 
   // Resident-page accountant (guarded by lock_); see SetCharge.
   PageCharge* charge_ = nullptr;
+  // Pregions attaching this region; a group image counts once.
+  std::atomic<u32> attachments_{0};
 
   // File backing (kFile regions only).
   std::shared_ptr<PageSource> source_;
@@ -225,7 +231,7 @@ bool Region::StealOne(u64 idx, FlushFn&& flushed) {
 template <typename FlushFn>
 u64 Region::StealPages(u64 want, FlushFn&& flushed) {
   std::lock_guard<std::mutex> l(lock_);
-  if (mem_.swap_device() == nullptr || ptes_.empty()) {
+  if (mem_.swap_device() == nullptr || ptes_.empty() || attachments_ > 1) {
     return 0;
   }
   u64 stolen = 0;

@@ -14,6 +14,21 @@ namespace {
 // Finds the data pregion. Caller holds the update lock when `ss` != null.
 Pregion* FindData(AddressSpace& as) { return as.FindByType(RegionType::kData); }
 
+// The one per-pregion copy rule: a region that stays shared across fork
+// (Region::SharedAcrossFork) is attached again, anything else is
+// duplicated copy-on-write.
+void CopyPregion(const Pregion& pr, AddressSpace& to) {
+  std::shared_ptr<Region> r = pr.region->SharedAcrossFork() ? pr.region : pr.region->DupCow();
+  auto copy = std::make_unique<Pregion>(std::move(r), pr.base, pr.prot);
+  copy->stack_owner = pr.stack_owner;
+  if (pr.base >= kArenaBase) {
+    // Claim arena/stack ranges in the copy's allocator so its own
+    // mmaps/stacks cannot collide with inherited attachments.
+    SG_CHECK(to.va().Reserve(pr.base, pr.region->pages()).ok());
+  }
+  to.AttachPrivate(std::move(copy));
+}
+
 }  // namespace
 
 // Suppressed: the guard is conditional (std::optional, taken only when the
@@ -139,6 +154,19 @@ Status Unmap(AddressSpace& as, vaddr_t base) {
   return Status::Ok();
 }
 
+void CopySharedImage(SharedSpace& ss, AddressSpace& as) {
+  // COW marking revokes write permission from pages other members may
+  // still hold cached writable — or may be about to re-resolve through
+  // the lockless fault path. The seqcount bracket spans marking + flush,
+  // so a racing faulter that installed a writable entry off the
+  // pre-marking page table fails its re-check and undoes it.
+  SeqWriter w(ss.layout_seq());
+  for (const Pregion* pr : ss.locked_layout().pregions) {
+    CopyPregion(*pr, as);
+  }
+  ss.ShootdownAll();
+}
+
 // Suppressed: conditional std::optional guard (see Sbrk).
 Status DuplicateForFork(AddressSpace& parent, AddressSpace& child) SG_NO_THREAD_SAFETY_ANALYSIS {
   SG_CHECK(child.shared() == nullptr);
@@ -147,36 +175,11 @@ Status DuplicateForFork(AddressSpace& parent, AddressSpace& child) SG_NO_THREAD_
   if (ss != nullptr) {
     guard.emplace(ss->lock());
   }
-
-  auto dup_one = [&child](const Pregion& pr) {
-    // Immutable text, SysV segments and shared file mappings stay genuinely
-    // shared across fork; everything else is duplicated copy-on-write.
-    std::shared_ptr<Region> r =
-        pr.region->SharedAcrossFork() ? pr.region : pr.region->DupCow();
-    auto copy = std::make_unique<Pregion>(std::move(r), pr.base, pr.prot);
-    copy->stack_owner = pr.stack_owner;
-    if (pr.base >= kArenaBase) {
-      // Claim arena/stack ranges in the child's allocator so its own
-      // mmaps/stacks cannot collide with inherited attachments.
-      SG_CHECK(child.va().Reserve(pr.base, pr.region->pages()).ok());
-    }
-    child.AttachPrivate(std::move(copy));
-  };
-
   for (auto& pr : parent.private_pregions()) {
-    dup_one(*pr);
+    CopyPregion(*pr, child);
   }
   if (ss != nullptr) {
-    // COW marking revokes write permission from pages other members may
-    // still hold cached writable — or may be about to re-resolve through
-    // the lockless fault path. The seqcount bracket spans marking + flush,
-    // so a racing faulter that installed a writable entry off the
-    // pre-marking page table fails its re-check and undoes it.
-    SeqWriter w(ss->layout_seq());
-    for (const Pregion* pr : ss->locked_layout().pregions) {
-      dup_one(*pr);
-    }
-    ss->ShootdownAll();
+    CopySharedImage(*ss, child);
   } else {
     parent.tlb().FlushAll();
   }

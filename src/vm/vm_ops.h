@@ -1,14 +1,15 @@
 // VM-image operations: the "relatively rare" pregion-list updaters of §6.2
-// (sbrk, mmap/munmap-style attach/detach, fork duplication). Each follows
-// the paper's protocol: take the group's update lock, perform the
-// synchronous all-processor TLB flush before any page is freed or
-// write-protected, then modify the list/region.
+// (sbrk, mmap/munmap-style attach/detach, the fork and PR_UNSHARE image
+// copy). Each follows the paper's protocol: take the group's update lock,
+// perform the synchronous all-processor TLB flush before any page is freed
+// or write-protected, then modify the list/region.
 #ifndef SRC_VM_VM_OPS_H_
 #define SRC_VM_VM_OPS_H_
 
 #include <memory>
 
 #include "base/result.h"
+#include "base/thread_annotations.h"
 #include "base/types.h"
 #include "vm/address_space.h"
 
@@ -35,13 +36,17 @@ Result<vaddr_t> AttachRegion(AddressSpace& as, std::shared_ptr<Region> region, u
 // be freed. kEINVAL if no mapping starts at `base`.
 Status Unmap(AddressSpace& as, vaddr_t base);
 
-// Duplicates `parent`'s entire visible image into `child` as private
-// copy-on-write attachments — the fork(2) path, and the non-PR_SADDR
-// sproc() path ("a fork() or non-VM sharing sproc() call leaves any
-// visible stack or other regions from the share group as copy-on-write
-// elements of the new process"). Read-only attachments (text) share the
-// region instead of duplicating. Ends with the required shootdown: COW
-// marking revokes write permission from every cached translation.
+// Copies the group image `ss` into `as` as private attachments, for fork
+// and PR_UNSHARE(PR_SADDR) alike: a region that Region::SharedAcrossFork()
+// keeps shared is attached again, anything else is duplicated
+// copy-on-write. The caller holds ss's update lock. One seqcount write
+// section spans the COW marking and the closing all-member shootdown.
+void CopySharedImage(SharedSpace& ss, AddressSpace& as) SG_REQUIRES(ss.lock());
+
+// Duplicates `parent`'s entire visible image into `child` by that rule —
+// the fork(2) path, and the non-PR_SADDR sproc() path ("a fork() or non-VM
+// sharing sproc() call leaves any visible stack or other regions from the
+// share group as copy-on-write elements of the new process").
 Status DuplicateForFork(AddressSpace& parent, AddressSpace& child);
 
 }  // namespace sg

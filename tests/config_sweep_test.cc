@@ -112,8 +112,8 @@ TEST_P(CpuSweep, AttributePropagationUnderLoad) {
       env.WaitChild();
     }
     env.Yield();
-    EXPECT_EQ(env.proc().umask, env.proc().shaddr->cmask());
-    EXPECT_EQ(env.proc().ulimit, env.proc().shaddr->limit());
+    EXPECT_EQ(env.proc().umask, env.proc().shaddr->scalars().cmask);
+    EXPECT_EQ(env.proc().ulimit, env.proc().shaddr->scalars().limit);
   });
 }
 

@@ -83,6 +83,30 @@ TEST(Unshare, VmSnapshotBehavesLikeFork) {
   });
 }
 
+// PR_UNSHARE(PR_SADDR) copies the image by fork's rule, so a MAP_SHARED
+// file mapping stays shared (as in MmapFile.SharedMappingSharedAcrossFork):
+// the member's store after the unshare reaches the group.
+TEST(Unshare, SharedFileMappingStaysSharedLikeFork) {
+  Kernel k;
+  RunAsProcess(k, [&](Env& env) {
+    const int fd = env.Open("/blob", kOpenRdwr | kOpenCreat);
+    ASSERT_GE(fd, 0);
+    const u32 words[4] = {0, 3, 6, 9};
+    ASSERT_EQ(env.WriteBuf(fd, std::as_bytes(std::span<const u32>(words))), 16);
+    const vaddr_t a = env.MmapFile(fd, 0, kPageSize, /*shared=*/true);
+    ASSERT_NE(a, 0u);
+    env.Sproc(
+        [a](Env& c, long) {
+          ASSERT_GE(c.Prctl(PR_UNSHARE, PR_SADDR), 0);
+          EXPECT_EQ(c.proc().as.shared(), nullptr);
+          c.Store32(a + 8, 4242);
+        },
+        PR_SADDR);
+    env.WaitChild();
+    EXPECT_EQ(env.Load32(a + 8), 4242u);  // not the file's 6
+  });
+}
+
 TEST(Unshare, OwnStackKeepsWorkingAndLeavesGroupImage) {
   Kernel k;
   RunAsProcess(k, [&](Env& env) {

@@ -238,5 +238,35 @@ TEST(FsCalls, OfileSnapshotRacesGrowingMasterTable) {
   EXPECT_EQ(k.vfs().files().Count(), 0u);
 }
 
+// A path walk looks a child up and takes its reference in one hold of the
+// inode-table lock, which Unlink's last LinkDec also takes. The walk used
+// to drop the directory's lock between the two, so an unlink could free
+// the child there: the Iget then panicked on the missing table entry, or
+// counted a reference on a new inode allocated at the same address.
+TEST(FsCalls, OpenRacingUnlinkNeverLosesTheInode) {
+  Kernel k;
+  RunAsProcess(k, [&](Env& env) {
+    std::atomic<bool> done{false};
+    env.Fork([&](Env& c, long) {
+      for (int i = 0; i < 20000; ++i) {
+        const int fd = c.Open("/t", kOpenRdwr | kOpenCreat);
+        if (fd < 0 || c.Close(fd) != 0 || c.Unlink("/t") != 0) {
+          ADD_FAILURE() << "create/close/unlink round " << i;
+          break;
+        }
+      }
+      done = true;
+    });
+    while (!done.load()) {
+      const int fd = env.Open("/t", kOpenRdwr);
+      if (fd >= 0) {
+        EXPECT_EQ(env.Close(fd), 0);
+      }
+    }
+    env.WaitChild();
+  });
+  EXPECT_EQ(k.vfs().files().Count(), 0u);
+}
+
 }  // namespace
 }  // namespace sg

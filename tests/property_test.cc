@@ -263,7 +263,7 @@ TEST(UmaskStress, ConcurrentUpdatesConverge) {
     }
     env.Yield();  // sync
     // Our value equals the block's master value (single source of truth).
-    EXPECT_EQ(env.proc().umask, env.proc().shaddr->cmask());
+    EXPECT_EQ(env.proc().umask, env.proc().shaddr->scalars().cmask);
   });
 }
 

@@ -1,7 +1,7 @@
 // Direct ShaddrBlock unit tests (no kernel): the member chain at the
 // structure level, master-copy seeding, the TryAddMember drain guard that
 // PR_JOINGROUP relies on, and the generation sync: per-resource masks at
-// entry, long lags, and the updater's own cache.
+// entry, long lags, and the updater's own cache and double-update check.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -61,10 +61,11 @@ TEST(ShaddrUnit, CreatorSeedsMasterCopies) {
   ShaddrBlock block(*a, rig.cpus, rig.vfs, rig.rm);
   EXPECT_EQ(block.refcnt(), 1u);
   EXPECT_EQ(a->p_shmask, PR_SALL);  // "a mask indicating that all resources are shared"
-  EXPECT_EQ(block.cmask(), 031);
-  EXPECT_EQ(block.limit(), 4242u);
-  EXPECT_EQ(block.uid(), 7);
-  EXPECT_EQ(block.gid(), 8);
+  const ShaddrBlock::Scalars m = block.scalars();
+  EXPECT_EQ(m.cmask, 031);
+  EXPECT_EQ(m.limit, 4242u);
+  EXPECT_EQ(m.uid, 7);
+  EXPECT_EQ(m.gid, 8);
   EXPECT_EQ(block.cdir(), a->cwd);
   // The block holds its own inode references (+2 on the root: cdir+rdir).
   EXPECT_GE(rig.vfs.inodes().RefCount(rig.vfs.root()), 4u);
@@ -119,8 +120,8 @@ TEST(ShaddrUnit, EntrySyncRespectsPerResourceMasks) {
   block.SyncOnKernelEntry(*c);
   const SyncCache b_before = b->p_sync;
   const SyncCache c_before = c->p_sync;
-  block.UpdateUmask(*a, 011);
-  block.UpdateUlimit(*a, 999);
+  block.UpdateScalar(*a, kResUmask, [](Proc& q) { q.umask = 011; });
+  block.UpdateScalar(*a, kResUlimit, [](Proc& q) { q.ulimit = 999; });
   // O(1) updates: nobody else's cache is touched; staleness is carried by
   // the block's generations alone.
   EXPECT_EQ(b->p_sync.summary, b_before.summary);
@@ -159,8 +160,9 @@ TEST(ShaddrUnit, UpdaterStillPullsPeerUpdateItMissed) {
   block.SyncOnKernelEntry(*a);  // both start current
   block.SyncOnKernelEntry(*b);
 
-  block.UpdateUmask(*b, 007);
-  block.UpdateUlimit(*a, 12345);  // a has not entered since b's update
+  block.UpdateScalar(*b, kResUmask, [](Proc& q) { q.umask = 007; });
+  // a has not entered since b's update.
+  block.UpdateScalar(*a, kResUlimit, [](Proc& q) { q.ulimit = 12345; });
   EXPECT_EQ(a->ulimit, 12345u);
   EXPECT_NE(a->umask, 007);
 
@@ -170,6 +172,30 @@ TEST(ShaddrUnit, UpdaterStillPullsPeerUpdateItMissed) {
   block.SyncOnKernelEntry(*b);
   EXPECT_EQ(b->umask, 007);
   EXPECT_EQ(b->ulimit, 12345u);
+  EXPECT_FALSE(block.RemoveMember(*b));
+  EXPECT_TRUE(block.RemoveMember(*a));
+  rig.DestroyProc(*a);
+  rig.DestroyProc(*b);
+}
+
+// The double-update check on a row with two fields: a's ids copy is stale
+// when it sets its uid, so UpdateScalar must refresh a's gid from the
+// master before copying a's ids back, or b's setgid is lost.
+TEST(ShaddrUnit, StaleSetuidKeepsPeersSetgid) {
+  Rig rig;
+  auto a = rig.MakeProc(1);
+  auto b = rig.MakeProc(2);
+  ShaddrBlock block(*a, rig.cpus, rig.vfs, rig.rm);
+  rig.Attach(block, *b, PR_SID);
+  block.SyncOnKernelEntry(*a);  // both start current
+  block.SyncOnKernelEntry(*b);
+
+  block.UpdateScalar(*b, kResIds, [](Proc& q) { q.gid = 9; });
+  block.UpdateScalar(*a, kResIds, [](Proc& q) { q.uid = 7; });  // a never pulled b's gid
+  const ShaddrBlock::Scalars m = block.scalars();
+  EXPECT_EQ(m.uid, 7);
+  EXPECT_EQ(m.gid, 9);
+  EXPECT_EQ(a->gid, 9);
   EXPECT_FALSE(block.RemoveMember(*b));
   EXPECT_TRUE(block.RemoveMember(*a));
   rig.DestroyProc(*a);
@@ -187,7 +213,7 @@ TEST(ShaddrUnit, ScalarLongLagConverges) {
   // would alias); its next entry must still pull the latest value.
   constexpr u64 kUpdates = (u64{1} << 12) + 1;
   for (u64 i = 1; i <= kUpdates; ++i) {
-    block.UpdateUmask(*a, static_cast<mode_t>(i & 0777));
+    block.UpdateScalar(*a, kResUmask, [i](Proc& q) { q.umask = static_cast<mode_t>(i & 0777); });
   }
   EXPECT_EQ(block.generation(kResUmask), kFirstGen + kUpdates);
   EXPECT_NE(b->umask, a->umask);

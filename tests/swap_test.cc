@@ -112,6 +112,55 @@ TEST(Pager, SharedFramesAreNeverStolen) {
   (void)twin;
 }
 
+// The region-level twin of SharedFramesAreNeverStolen: a region that a
+// second address space also attaches is never stolen. The pager flushes
+// only the sweeping space's TLBs, so a fork child sharing the parent's
+// MAP_SHARED mapping would keep a translation to the stolen frame after
+// its reuse, and read another page's data through it.
+TEST(Pager, StealSkipsRegionAForkChildAlsoMaps) {
+  BootParams bp;
+  bp.phys_mem_bytes = 48 * kPageSize;
+  bp.swap_pages = 256;
+  Kernel k(bp);
+  RunAsProcess(k, [&](Env& env) {
+    const int fd = env.Open("/blob", kOpenRdwr | kOpenCreat);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(env.WriteStr(fd, "blob"), 4);
+    const vaddr_t a = env.MmapFile(fd, 0, kPageSize, /*shared=*/true);
+    ASSERT_NE(a, 0u);
+    env.Store32(a, 1);
+    std::atomic<bool> cached{false};
+    std::atomic<bool> release{false};
+    std::atomic<u32> child_saw{0};
+    env.Fork([&, a](Env& c, long) {
+      EXPECT_EQ(c.Load32(a), 1u);  // caches the translation
+      cached = true;
+      while (!release.load()) {
+        c.Yield();
+      }
+      child_saw = c.Load32(a);
+    });
+    while (!cached.load()) {
+      env.Yield();
+    }
+    // Twice the frames in fresh anonymous pages: the parent's faults run
+    // the pager over its own image, the shared mapping included.
+    constexpr u64 kPages = 96;
+    const vaddr_t anon = env.Mmap(kPages * kPageSize);
+    ASSERT_NE(anon, 0u);
+    for (int round = 0; round < 3; ++round) {
+      for (u64 i = 0; i < kPages; ++i) {
+        env.Store32(anon + i * kPageSize, 77);
+      }
+    }
+    env.Store32(a, 2);
+    release = true;
+    env.WaitChild();
+    EXPECT_EQ(child_saw.load(), 2u);
+  });
+  EXPECT_EQ(k.mem().FreeFrames(), k.mem().TotalFrames());
+}
+
 // A fault resolves and inserts its translation under the region lock, and
 // a steal flushes and copies out under it. So a steal racing a fault lands
 // after the insert, and its flush removes the fresh translation: none to
