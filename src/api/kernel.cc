@@ -202,11 +202,11 @@ void Kernel::ReleaseUArea(Proc& p) {
     }
   }
   if (p.cwd != nullptr) {
-    vfs_.inodes().Iput(p.cwd);
+    Iput(p.cwd);
     p.cwd = nullptr;
   }
   if (p.rootdir != nullptr) {
-    vfs_.inodes().Iput(p.rootdir);
+    Iput(p.rootdir);
     p.rootdir = nullptr;
   }
 }
@@ -228,13 +228,13 @@ Result<pid_t> Kernel::Launch(UserFn main, long arg) {
   }
   Proc* p = alloc.value();
   p->ppid.store(0, std::memory_order_relaxed);
-  p->cwd = vfs_.inodes().Iget(vfs_.root());
-  p->rootdir = vfs_.inodes().Iget(vfs_.root());
+  p->cwd = Iget(vfs_.root());
+  p->rootdir = Iget(vfs_.root());
   Image img;
   img.main = nullptr;  // entry supplied separately below
   Status st = BuildImage(*p, img);
   if (!st.ok()) {
-    procs_.Free(p);
+    AbortEmbryo(p);  // drops the cwd and root references too
     return st.error();
   }
   StartProcThread(p, std::move(main), arg);

@@ -248,8 +248,8 @@ class Kernel {
     ShaddrBlock* b = p.shaddr;
     return (b != nullptr && (p.p_shmask & share) != 0) ? b : nullptr;
   }
-  // Applies change(p) to p's copy of the scalar resource `r` (ids, umask,
-  // ulimit): through the block's update protocol when p shares it.
+  // Applies change(p) to p's copy of the scalar resource `r` (dir, ids,
+  // umask, ulimit): through the block's update protocol when p shares it.
   template <typename Fn>
   static void ChangeScalar(Proc& p, SyncRes r, Fn&& change) {
     if (ShaddrBlock* b = SharedBlock(p, ShaddrBlock::kSyncTable[r].share); b != nullptr) {

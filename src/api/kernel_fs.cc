@@ -401,11 +401,11 @@ Result<Inode*> ResolveDir(Vfs& vfs, Proc& p, Cred cred, std::string_view path) {
     return ip.error();
   }
   if (ip.value()->type() != InodeType::kDirectory) {
-    vfs.inodes().Iput(ip.value());
+    Iput(ip.value());
     return Errno::kENOTDIR;
   }
   if (!Permits(*ip.value(), cred.uid, cred.gid, Access::kExec)) {
-    vfs.inodes().Iput(ip.value());
+    Iput(ip.value());
     return Errno::kEACCES;
   }
   return ip.value();
@@ -417,44 +417,34 @@ Status Kernel::Chdir(Proc& p, std::string_view path) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("chdir");
   auto dir = ResolveDir(vfs_, p, CredOf(p), path);
-  Status st = Status::Ok();
-  if (!dir.ok()) {
-    st = dir.status();
-  } else if (ShaddrBlock* b = SharedBlock(p, PR_SDIR); b != nullptr) {
+  if (dir.ok()) {
     // "the ability to change the working directory ... of an entire set of
-    // processes at once" (§4).
-    b->UpdateDir(p, dir.value(), nullptr);
-  } else {
-    vfs_.inodes().Iput(p.cwd);
-    p.cwd = dir.value();
+    // processes at once" (§4). The counted reference moves into the cwd.
+    ChangeScalar(p, kResDir, [ip = dir.value()](Proc& q) {
+      Iput(q.cwd);
+      q.cwd = ip;
+    });
   }
   SyscallExit(p);
-  return st;
+  return dir.status();
 }
 
 Status Kernel::Chroot(Proc& p, std::string_view path) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("chroot");
-  Status st = Status::Ok();
-  if (p.uid != 0) {
-    st = Errno::kEPERM;
-  } else {
-    auto dir = ResolveDir(vfs_, p, CredOf(p), path);
-    if (!dir.ok()) {
-      st = dir.status();
-    } else if (ShaddrBlock* b = SharedBlock(p, PR_SDIR); b != nullptr) {
-      b->UpdateDir(p, nullptr, dir.value());
-    } else {
-      vfs_.inodes().Iput(p.rootdir);
-      p.rootdir = dir.value();
-    }
+  auto dir = p.uid != 0 ? Result<Inode*>(Errno::kEPERM) : ResolveDir(vfs_, p, CredOf(p), path);
+  if (dir.ok()) {
+    ChangeScalar(p, kResDir, [ip = dir.value()](Proc& q) {
+      Iput(q.rootdir);
+      q.rootdir = ip;
+    });
   }
   SyscallExit(p);
-  return st;
+  return dir.status();
 }
 
 namespace {
-StatResult FillStat(InodeTable& inodes, Inode* ip) {
+StatResult FillStat(Inode* ip) {
   StatResult s;
   s.ino = ip->ino();
   s.type = ip->type();
@@ -462,8 +452,7 @@ StatResult FillStat(InodeTable& inodes, Inode* ip) {
   s.uid = ip->uid();
   s.gid = ip->gid();
   s.size = ip->Size();
-  s.nlink = ip->nlink;
-  (void)inodes;
+  s.nlink = ip->nlink();
   return s;
 }
 }  // namespace
@@ -476,8 +465,8 @@ Result<StatResult> Kernel::Stat(Proc& p, std::string_view path) {
   if (!ip.ok()) {
     r = ip.error();
   } else {
-    r = FillStat(vfs_.inodes(), ip.value());
-    vfs_.inodes().Iput(ip.value());
+    r = FillStat(ip.value());
+    Iput(ip.value());
   }
   SyscallExit(p);
   return r;
@@ -488,7 +477,7 @@ Result<StatResult> Kernel::Fstat(Proc& p, int fd) {
   SG_OBS_SYSCALL("fstat");
   auto fr = p.fds.Get(fd);
   Result<StatResult> r =
-      fr.ok() ? Result<StatResult>(FillStat(vfs_.inodes(), fr.value()->inode()))
+      fr.ok() ? Result<StatResult>(FillStat(fr.value()->inode()))
               : Result<StatResult>(fr.error());
   SyscallExit(p);
   return r;
@@ -497,39 +486,38 @@ Result<StatResult> Kernel::Fstat(Proc& p, int fd) {
 Result<std::string> Kernel::Getcwd(Proc& p) {
   SyscallEnter(p);
   SG_OBS_SYSCALL("getcwd");
-  Result<std::string> r = Errno::kENOENT;
-  {
-    InodeTable& inodes = vfs_.inodes();
-    Inode* at = inodes.Iget(p.cwd);
-    std::string path;
-    bool ok = true;
-    while (at != p.rootdir && at->parent != at) {
-      Inode* parent = inodes.Iget(at->parent);
-      // Find our name in the parent (in-memory fs: a scan is fine).
-      std::string name;
-      for (const std::string& entry : parent->ListEntries()) {
-        auto child = parent->Lookup(entry);
-        if (child.ok() && child.value() == at) {
-          name = entry;
-          break;
-        }
-      }
-      if (name.empty()) {
-        ok = false;  // disconnected (cwd was unlinked)
-        inodes.Iput(parent);
-        break;
-      }
-      path.insert(0, "/" + name);
-      inodes.Iput(at);
-      at = parent;
+  // Climb "..", read under each directory's lock, and find each
+  // directory's name in its parent. A removed directory has neither, so
+  // getcwd from inside one fails with kENOENT, as in POSIX.
+  std::string path;
+  Status st = Status::Ok();
+  Inode* at = Iget(p.cwd);
+  while (st.ok() && at != p.rootdir) {
+    auto up = at->Lookup("..");
+    if (!up.ok()) {
+      st = up.status();
+      break;
     }
-    inodes.Iput(at);
-    if (ok) {
-      r = path.empty() ? std::string("/") : path;
+    Inode* parent = up.value();
+    if (parent == at) {  // the filesystem root
+      Iput(parent);
+      break;
+    }
+    auto name = parent->NameOf(at);  // kENOENT if `at` was removed meanwhile
+    Iput(at);
+    at = parent;
+    if (name.ok()) {
+      path.insert(0, "/" + name.value());
+    } else {
+      st = name.status();
     }
   }
+  Iput(at);
   SyscallExit(p);
-  return r;
+  if (!st.ok()) {
+    return st.error();
+  }
+  return path.empty() ? std::string("/") : path;
 }
 
 Result<std::vector<std::string>> Kernel::ListDir(Proc& p, std::string_view path) {
@@ -547,7 +535,7 @@ Result<std::vector<std::string>> Kernel::ListDir(Proc& p, std::string_view path)
     } else {
       r = ip.value()->ListEntries();  // already sorted (std::map order)
     }
-    vfs_.inodes().Iput(ip.value());
+    Iput(ip.value());
   }
   SyscallExit(p);
   return r;
@@ -566,7 +554,7 @@ Status Kernel::Chmod(Proc& p, std::string_view path, mode_t mode) {
     } else {
       ip.value()->set_mode(mode);
     }
-    vfs_.inodes().Iput(ip.value());
+    Iput(ip.value());
   }
   SyscallExit(p);
   return st;

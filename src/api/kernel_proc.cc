@@ -87,8 +87,8 @@ void Kernel::InheritUArea(Proc& parent, Proc& child) {
   child.ulimit = parent.ulimit;
   child.stack_max_pages = parent.stack_max_pages;  // PR_SETSTACKSIZE inherits (§5.2)
   child.priority.store(parent.priority.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  child.cwd = vfs_.inodes().Iget(parent.cwd);
-  child.rootdir = vfs_.inodes().Iget(parent.rootdir);
+  child.cwd = Iget(parent.cwd);
+  child.rootdir = Iget(parent.rootdir);
   for (int fd = 0; fd < FdTable::kMaxFds; ++fd) {
     const FdEntry& e = parent.fds.Slot(fd);
     if (e.used()) {

@@ -14,8 +14,8 @@ namespace {
 // counted reference for the mapping's lifetime.
 class InodePageSource final : public PageSource {
  public:
-  InodePageSource(InodeTable& inodes, Inode* ip) : inodes_(inodes), ip_(inodes.Iget(ip)) {}
-  ~InodePageSource() override { inodes_.Iput(ip_); }
+  explicit InodePageSource(Inode* ip) : ip_(Iget(ip)) {}
+  ~InodePageSource() override { Iput(ip_); }
 
   void ReadPage(u64 off, std::byte* dst) override { ip_->ReadAt(off, dst, kPageSize); }
   void WritePage(u64 off, const std::byte* src, u64 len) override {
@@ -25,7 +25,6 @@ class InodePageSource final : public PageSource {
   }
 
  private:
-  InodeTable& inodes_;
   Inode* ip_;
 };
 
@@ -72,7 +71,7 @@ Result<vaddr_t> Kernel::MapFile(Proc& p, int fd, u64 offset, u64 len, bool share
       // A shared mapping writes back, so the descriptor must allow it.
       r = Errno::kEACCES;
     } else {
-      auto source = std::make_shared<InodePageSource>(vfs_.inodes(), f->inode());
+      auto source = std::make_shared<InodePageSource>(f->inode());
       auto region = Region::AllocBacked(mem_, PagesFor(len), std::move(source), offset, len,
                                         shared_mapping);
       r = AttachRegion(p.as, std::move(region), kProtRw);

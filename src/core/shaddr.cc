@@ -22,6 +22,17 @@ bool Sharable(const Pregion& pr) { return pr.region->type() != RegionType::kPrda
 // unambiguous across the lifetime of the simulation.
 std::atomic<u64> g_next_group_id{1};
 
+// The dir row's copy: points the counted reference `ref` at `ip`, holding
+// the new inode before putting the old. An inode put takes no lock, so
+// rupdlock_ may be held.
+void Reseat(Inode*& ref, Inode* ip) {
+  Iget(ip);
+  if (ref != nullptr) {  // null only while the constructor seeds the master
+    Iput(ref);
+  }
+  ref = ip;
+}
+
 }  // namespace
 
 ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceManager& rm)
@@ -75,8 +86,6 @@ ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceMana
   // cap is configurable before the group exists).
   node_->ChargeForced(rm::Resource::kFiles, static_cast<u64>(used));
   node_->ChargeForced(rm::Resource::kMembers, 1);
-  cdir_ = vfs_.inodes().Iget(creator.cwd);
-  rdir_ = vfs_.inodes().Iget(creator.rootdir);
   for (const SyncRow& row : kSyncTable) {
     if (row.to_master != nullptr) {
       row.to_master(creator, scalars_);
@@ -110,8 +119,8 @@ ShaddrBlock::~ShaddrBlock() {
       vfs_.files().Release(s.e.file);
     }
   }
-  vfs_.inodes().Iput(cdir_);
-  vfs_.inodes().Iput(rdir_);
+  Iput(scalars_.cdir);
+  Iput(scalars_.rdir);
 }
 
 void ShaddrBlock::AddMember(Proc& child, u32 shmask) {
@@ -271,7 +280,15 @@ u32 ShaddrBlock::refcnt() const {
 
 const ShaddrBlock::SyncRow ShaddrBlock::kSyncTable[kNumSyncRes] = {
     {kResFds, PR_SFDS, &ShaddrBlock::SyncFds},
-    {kResDir, PR_SDIR, &ShaddrBlock::PullDir},
+    {kResDir, PR_SDIR, &ShaddrBlock::PullScalar,
+     [](const Scalars& m, Proc& p) {
+       Reseat(p.cwd, m.cdir);
+       Reseat(p.rootdir, m.rdir);
+     },
+     [](const Proc& p, Scalars& m) {
+       Reseat(m.cdir, p.cwd);
+       Reseat(m.rdir, p.rootdir);
+     }},
     {kResIds, PR_SID, &ShaddrBlock::PullScalar,
      [](const Scalars& m, Proc& p) {
        p.uid = m.uid;
@@ -342,7 +359,7 @@ void ShaddrBlock::SyncFds(Proc& p, SyncRes) {
 void ShaddrBlock::UnlockFileUpdate() {
   // Copy the displaced references out while still holding the lock (the
   // next holder refills the list), then drop them unlocked: a last
-  // reference closes its pipe end and puts its inode, which may sleep.
+  // reference closes its pipe end under the pipe's mutex, which may sleep.
   std::array<OpenFile*, kMaxDisplaced> dead{};
   const u32 n = ndisplaced_;
   std::copy_n(displaced_.begin(), n, dead.begin());
@@ -439,53 +456,7 @@ void ShaddrBlock::PublishFds(Proc& p) {
   SG_OBS_ADD("core.fds.delta_published_slots", changed);
 }
 
-// ----- directories and scalar resources (under rupdlock_) -----
-
-void ShaddrBlock::UpdateDir(Proc& p, Inode* new_cwd, Inode* new_root) {
-  // Inode refcounts live under the inode-table mutex, which may block, so
-  // it must be taken BEFORE the spinlock (the reverse order slept inside
-  // rupdlock_ — caught by sgcheck sleep-in-atomic and lockdep).
-  InodeTable& inodes = vfs_.inodes();
-  auto tbl = inodes.Acquire();
-  SpinGuard g(rupdlock_);
-  // Double-update check: refresh from the master before applying our own
-  // change, so a concurrent chroot by another member is not clobbered by
-  // our chdir (and vice versa).
-  if (gen_[kResDir].load(std::memory_order_relaxed) != p.p_sync.gen[kResDir]) {
-    inodes.IputLocked(p.cwd);
-    inodes.IputLocked(p.rootdir);
-    p.cwd = inodes.IgetLocked(cdir_);
-    p.rootdir = inodes.IgetLocked(rdir_);
-  }
-  if (new_cwd != nullptr) {
-    inodes.IputLocked(p.cwd);
-    p.cwd = new_cwd;  // counted ref transferred from the caller
-  }
-  if (new_root != nullptr) {
-    inodes.IputLocked(p.rootdir);
-    p.rootdir = new_root;
-  }
-  // Copy to the master (swap the block's references) and bump — O(1) in
-  // group size; members notice via the summary compare at entry.
-  inodes.IputLocked(cdir_);
-  inodes.IputLocked(rdir_);
-  cdir_ = inodes.IgetLocked(p.cwd);
-  rdir_ = inodes.IgetLocked(p.rootdir);
-  Bump(p, kResDir);
-}
-
-void ShaddrBlock::PullDir(Proc& p, SyncRes) {
-  // Same lock order as UpdateDir: inode-table mutex first, spinlock inside.
-  InodeTable& inodes = vfs_.inodes();
-  auto tbl = inodes.Acquire();
-  SpinGuard g(rupdlock_);
-  inodes.IputLocked(p.cwd);
-  inodes.IputLocked(p.rootdir);
-  p.cwd = inodes.IgetLocked(cdir_);
-  p.rootdir = inodes.IgetLocked(rdir_);
-  p.p_sync.gen[kResDir] = gen_[kResDir].load(std::memory_order_relaxed);
-  SG_OBS_INC("core.scalar_gen_pulls");
-}
+// ----- scalar resources (under rupdlock_) -----
 
 void ShaddrBlock::PullScalar(Proc& p, SyncRes r) {
   SpinGuard g(rupdlock_);
@@ -499,11 +470,6 @@ void ShaddrBlock::PullScalar(Proc& p, SyncRes r) {
 ShaddrBlock::Scalars ShaddrBlock::scalars() const {
   SpinGuard g(rupdlock_);
   return scalars_;
-}
-
-Inode* ShaddrBlock::cdir() const {
-  SpinGuard g(rupdlock_);
-  return cdir_;
 }
 
 }  // namespace sg

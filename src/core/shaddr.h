@@ -14,16 +14,17 @@
 //   s_ofile / s_pofile -> ofile_ (master copy of the descriptor table,
 //       FdEntry carries the per-descriptor flag byte), generation-stamped
 //       per slot for delta synchronization
-//   s_cdir / s_rdir -> cdir_/rdir_ (counted inode refs)
 //   s_rupdlock -> rupdlock_ (spinlock for the small shared values)
-//   s_cmask / s_limit / s_uid / s_gid -> scalars_ (one Scalars struct)
+//   s_cdir / s_rdir / s_cmask / s_limit / s_uid / s_gid -> scalars_ (one
+//       Scalars struct; cdir and rdir are counted inode refs)
 //
 // "Those resources which have reference counts (file descriptors and
 // inodes) have the count bumped one for the shared address block. This
 // avoids any races whereby the process that changed the resource exits
 // before all other group members have had a chance to synchronize." The
-// block therefore owns one reference to every file in ofile_ and to
-// cdir_/rdir_, released only at group teardown or replacement.
+// block therefore owns one reference to every file in ofile_ and to the
+// two directories in scalars_, released only at group teardown or
+// replacement.
 //
 // ---- Generation-based resource synchronization (DESIGN.md §4f) ----
 //
@@ -169,12 +170,12 @@ class ShaddrBlock {
   //
   // File-descriptor updates are single-threaded by fupdsema_ (s_fupdsema)
   // around the descriptor-table edit of an open/close/dup in the syscall
-  // layer; the directories and the scalar resources complete inside
-  // rupdlock_ (s_rupdlock). The scalar rows (ids, umask, ulimit) share one
-  // update and one pull, driven by their kSyncTable copy functions; the
-  // fds and dir rows keep their own, because they move counted references
-  // under their own lock orders (the fupdsema_ bracket; the inode-table
-  // mutex before rupdlock_).
+  // layer; the scalar resources complete inside rupdlock_ (s_rupdlock).
+  // The scalar rows (dir, ids, umask, ulimit) share one update and one
+  // pull, driven by their kSyncTable copy functions; the dir row's copies
+  // move counted inode references, which never sleep. The fds row keeps
+  // its own, because a last open-file release may sleep on a pipe's mutex,
+  // so the references it displaces are dropped after fupdsema_.
 
   // Descriptor-table update bracket. Sequence in the syscall layer:
   //   LockFileUpdate(); PullFds(p); <modify p.fds>; PublishFds(p);
@@ -201,19 +202,18 @@ class ShaddrBlock {
   // unchanged table stamps nothing.
   void PublishFds(Proc& p) SG_REQUIRES(fupdsema_);
 
-  // Directory update; takes over the counted refs, and a null argument
-  // leaves that directory as-is.
-  void UpdateDir(Proc& p, Inode* new_cwd, Inode* new_root);
-
   // The master copies of the scalar resources, guarded by rupdlock_.
   struct Scalars {
-    mode_t cmask = 022;  // s_cmask
-    u64 limit = 0;       // s_limit
-    uid_t uid = 0;       // s_uid
-    gid_t gid = 0;       // s_gid
+    mode_t cmask = 022;     // s_cmask
+    u64 limit = 0;          // s_limit
+    uid_t uid = 0;          // s_uid
+    gid_t gid = 0;          // s_gid
+    Inode* cdir = nullptr;  // s_cdir
+    Inode* rdir = nullptr;  // s_rdir
   };
 
-  // Update of the scalar resource `r` (kResIds, kResUmask or kResUlimit):
+  // Update of the scalar resource `r` (kResDir, kResIds, kResUmask or
+  // kResUlimit):
   // under rupdlock_, refresh p's copy from the master if gen_[r] moved since
   // p last synced (the double-update check: a peer's setgid survives our
   // setuid), apply change(p), copy p's values to the master and Bump.
@@ -254,7 +254,6 @@ class ShaddrBlock {
 
   // Test/diagnostic accessors for the master copies.
   Scalars scalars() const;
-  Inode* cdir() const;
   // Used descriptors in the master table. Maintained incrementally at
   // publish so the /proc/share snapshot is one atomic load, not a
   // kMaxFds walk under a lock.
@@ -270,7 +269,6 @@ class ShaddrBlock {
   // Kernel-entry pulls: refresh the member's private copy from the master
   // and cache the resource's generation read under the same lock.
   void SyncFds(Proc& p, SyncRes);  // PullFds inside the fupdsema_ bracket
-  void PullDir(Proc& p, SyncRes);
   void PullScalar(Proc& p, SyncRes r);
 
   // Queues a reference the bracket displaced for UnlockFileUpdate.
@@ -307,8 +305,6 @@ class ShaddrBlock {
   std::atomic<u64> summary_{kFirstGen};
 
   mutable Spinlock rupdlock_{"shaddr.rupdlock"};  // s_rupdlock
-  Inode* cdir_ SG_GUARDED_BY(rupdlock_) = nullptr;  // s_cdir
-  Inode* rdir_ SG_GUARDED_BY(rupdlock_) = nullptr;  // s_rdir
   Scalars scalars_ SG_GUARDED_BY(rupdlock_);
 };
 

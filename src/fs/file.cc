@@ -55,7 +55,7 @@ void FileTable::Release(OpenFile* f) {
     }
   }
   delete f;
-  inodes_.Iput(ip);
+  Iput(ip);
 }
 
 Result<int> FdTable::AllocSlot(OpenFile* f) {

@@ -68,7 +68,7 @@ class OpenFile {
 // the entry. Only the live-entry count is table-wide.
 class FileTable {
  public:
-  FileTable(InodeTable& inodes, u32 max_files) : inodes_(inodes), max_files_(max_files) {}
+  explicit FileTable(u32 max_files) : max_files_(max_files) {}
   FileTable(const FileTable&) = delete;
   FileTable& operator=(const FileTable&) = delete;
 
@@ -80,8 +80,8 @@ class FileTable {
   OpenFile* Hold(OpenFile* f);
 
   // Drops a reference; the entry closes and is freed when it reaches zero.
-  // The last reference's release may sleep (a pipe end's mutex, the inode
-  // table), so no spinlock may be held across it.
+  // The last reference's release may sleep (a pipe end's mutex), so no
+  // spinlock may be held across it.
   void Release(OpenFile* f);
 
   // Reference count of a LIVE entry (diagnostics/tests): a released entry
@@ -90,7 +90,6 @@ class FileTable {
   u64 Count() const { return count_.load(std::memory_order_acquire); }
 
  private:
-  InodeTable& inodes_;
   u32 max_files_;
   std::atomic<u64> count_{0};  // live entries
 };

@@ -4,12 +4,12 @@
 
 #include "base/check.h"
 #include "fs/pipe.h"
-#include "sync/lockdep.h"
 
 namespace sg {
 
-Inode::Inode(ino_t ino, InodeType type, mode_t mode, uid_t uid, gid_t gid)
-    : ino_(ino), type_(type), mode_(mode), uid_(uid), gid_(gid) {}
+Inode::Inode(ino_t ino, InodeType type, mode_t mode, uid_t uid, gid_t gid,
+             std::atomic<u64>& live)
+    : ino_(ino), type_(type), live_(live), mode_(mode), uid_(uid), gid_(gid) {}
 
 Inode::~Inode() = default;
 
@@ -89,28 +89,63 @@ void Inode::Truncate() {
 
 Result<Inode*> Inode::Lookup(const std::string& name) const {
   std::lock_guard<std::mutex> l(mu_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
+  Inode* found = parent_;
+  if (name != "..") {
+    auto it = entries_.find(name);
+    found = it == entries_.end() ? nullptr : it->second;
+  }
+  if (found == nullptr) {
     return Errno::kENOENT;
   }
-  return it->second;
+  return Iget(found);
 }
 
 Status Inode::AddEntry(const std::string& name, Inode* child) {
   std::lock_guard<std::mutex> l(mu_);
-  auto [it, inserted] = entries_.emplace(name, child);
-  (void)it;
-  return inserted ? Status::Ok() : Status(Errno::kEEXIST);
+  if (parent_ == nullptr) {
+    return Errno::kENOENT;
+  }
+  if (!entries_.emplace(name, child).second) {
+    return Errno::kEEXIST;
+  }
+  child->count_.fetch_add(kLink, std::memory_order_relaxed);
+  if (child->type_ == InodeType::kDirectory) {
+    std::lock_guard<std::mutex> cl(child->mu_);
+    child->parent_ = this;
+  }
+  return Status::Ok();
 }
 
-Status Inode::RemoveEntry(const std::string& name) {
+Status Inode::RemoveEntry(const std::string& name, bool dir) {
   std::lock_guard<std::mutex> l(mu_);
-  return entries_.erase(name) != 0 ? Status::Ok() : Status(Errno::kENOENT);
+  auto it = entries_.find(name);
+  if (it == entries_.end()) {
+    return Errno::kENOENT;
+  }
+  Inode* child = it->second;
+  if ((child->type_ == InodeType::kDirectory) != dir) {
+    return dir ? Errno::kENOTDIR : Errno::kEISDIR;
+  }
+  if (dir) {
+    std::lock_guard<std::mutex> cl(child->mu_);
+    if (!child->entries_.empty()) {
+      return Errno::kENOTEMPTY;
+    }
+    child->parent_ = nullptr;
+  }
+  entries_.erase(it);
+  Drop(child, kLink);  // open references keep the data alive until closed
+  return Status::Ok();
 }
 
-bool Inode::DirEmpty() const {
+Result<std::string> Inode::NameOf(const Inode* child) const {
   std::lock_guard<std::mutex> l(mu_);
-  return entries_.empty();
+  for (const auto& [name, ip] : entries_) {
+    if (ip == child) {
+      return name;
+    }
+  }
+  return Errno::kENOENT;
 }
 
 std::vector<std::string> Inode::ListEntries() const {
@@ -145,80 +180,37 @@ bool Permits(const Inode& ip, uid_t uid, gid_t gid, Access want) {
   return (m & bit) != 0;
 }
 
-InodeTable::InodeTable(u32 max_inodes) : max_inodes_(max_inodes) {}
-
-InodeTable::~InodeTable() = default;
-
-Result<Inode*> InodeTable::Alloc(InodeType type, mode_t mode, uid_t uid, gid_t gid) {
-  std::lock_guard<std::mutex> l(mu_);
-  if (table_.size() >= max_inodes_) {
-    return Errno::kENOSPC;
+void Inode::Drop(Inode* ip, u64 unit) {
+  // acq_rel, as for an open file: the release half publishes this holder's
+  // writes to whoever frees; the acquire half makes the freer see them.
+  const u64 prev = ip->count_.fetch_sub(unit, std::memory_order_acq_rel);
+  SG_CHECK(unit == kLink ? prev >= kLink : static_cast<u32>(prev) > 0);
+  if (prev != unit) {
+    return;
   }
-  auto ip = std::make_unique<Inode>(next_ino_++, type, static_cast<mode_t>(mode & kModeAll), uid,
-                                    gid);
-  Inode* raw = ip.get();
-  table_.emplace(raw, std::make_pair(std::move(ip), 1u));
-  return raw;
+  ip->live_.fetch_sub(1, std::memory_order_acq_rel);
+  for (const auto& [name, child] : ip->entries_) {  // sole owner: no mu_
+    Drop(child, kLink);
+  }
+  delete ip;
 }
 
-std::unique_lock<std::mutex> InodeTable::Acquire() const {
-  lockdep::MaySleep("fs.itable.acquire");
-  return std::unique_lock<std::mutex>(mu_);
-}
-
-Inode* InodeTable::Iget(Inode* ip) {
-  auto l = Acquire();
-  return IgetLocked(ip);
-}
-
-void InodeTable::Iput(Inode* ip) {
-  auto l = Acquire();
-  IputLocked(ip);
-}
-
-Inode* InodeTable::IgetLocked(Inode* ip) {
-  auto it = table_.find(ip);
-  SG_CHECK(it != table_.end());
-  ++it->second.second;
+Inode* Iget(Inode* ip) {
+  const u64 prev = ip->count_.fetch_add(Inode::kRef, std::memory_order_relaxed);
+  SG_CHECK(prev != 0);  // taking a freed inode would resurrect it
   return ip;
 }
 
-void InodeTable::IputLocked(Inode* ip) {
-  auto it = table_.find(ip);
-  SG_CHECK(it != table_.end() && it->second.second > 0);
-  --it->second.second;
-  MaybeFree(ip);
-}
+void Iput(Inode* ip) { Inode::Drop(ip, Inode::kRef); }
 
-void InodeTable::LinkInc(Inode* ip) {
-  std::lock_guard<std::mutex> l(mu_);
-  ++ip->nlink;
-}
-
-void InodeTable::LinkDec(Inode* ip) {
-  std::lock_guard<std::mutex> l(mu_);
-  SG_CHECK(ip->nlink > 0);
-  --ip->nlink;
-  MaybeFree(ip);
-}
-
-void InodeTable::MaybeFree(Inode* ip) {
-  auto it = table_.find(ip);
-  SG_CHECK(it != table_.end());
-  if (it->second.second == 0 && ip->nlink == 0) {
-    table_.erase(it);
+Result<Inode*> InodeTable::Alloc(InodeType type, mode_t mode, uid_t uid, gid_t gid) {
+  // Claim a slot in the budget first; roll back on ENOSPC.
+  if (count_.fetch_add(1, std::memory_order_acq_rel) >= max_inodes_) {
+    count_.fetch_sub(1, std::memory_order_acq_rel);
+    return Errno::kENOSPC;
   }
-}
-
-u32 InodeTable::RefCount(const Inode* ip) const {
-  std::lock_guard<std::mutex> l(mu_);
-  auto it = table_.find(ip);
-  return it == table_.end() ? 0 : it->second.second;
-}
-
-u64 InodeTable::Count() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return table_.size();
+  return new Inode(next_ino_.fetch_add(1, std::memory_order_relaxed), type,
+                   static_cast<mode_t>(mode & kModeAll), uid, gid, count_);
 }
 
 }  // namespace sg

@@ -3,11 +3,12 @@
 // The paper's share groups propagate the current/root directory (PR_SDIR)
 // and hold "+1" inode references from the shared-address block so a shared
 // directory can never vanish while any member might still synchronize to it
-// (§6.3). The inode table below provides exactly the iget/iput reference
-// discipline that scheme relies on.
+// (§6.3). Iget/Iput below are that reference discipline: like an open
+// file, an inode counts itself, so neither takes a lock.
 #ifndef SRC_FS_INODE_H_
 #define SRC_FS_INODE_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -38,7 +39,9 @@ class Pipe;
 
 class Inode {
  public:
-  Inode(ino_t ino, InodeType type, mode_t mode, uid_t uid, gid_t gid);
+  // `live` is the allocating table's count of live inodes; the table
+  // outlives its inodes (~Vfs frees the tree before its table goes).
+  Inode(ino_t ino, InodeType type, mode_t mode, uid_t uid, gid_t gid, std::atomic<u64>& live);
   Inode(const Inode&) = delete;
   Inode& operator=(const Inode&) = delete;
   ~Inode();
@@ -53,9 +56,11 @@ class Inode {
   gid_t gid() const;
   void set_owner(uid_t u, gid_t g);
 
-  // Link count (directory entries referencing this inode); guarded by the
-  // owning InodeTable's lock.
-  u32 nlink = 0;
+  // Links (directory entries naming this inode) and references (path
+  // walks, open files, cwd/root copies, file mappings) share one atomic
+  // word; the decrement that takes it to zero frees the inode.
+  u32 nlink() const { return static_cast<u32>(count_.load(std::memory_order_acquire) >> 32); }
+  u32 refs() const { return static_cast<u32>(count_.load(std::memory_order_acquire)); }
 
   // --- Regular file data ---
   u64 Size() const;
@@ -67,16 +72,26 @@ class Inode {
   void Truncate();
 
   // --- Directory data ---
-  // Entries hold plain pointers; the link count (nlink) managed by the
-  // InodeTable keeps a referenced child alive.
+  // Each entry carries one link of its inode, changed in the same hold of
+  // this directory's lock as the entry, so the link keeps the child alive
+  // for a lookup that finds the entry.
+  //
+  // Returns a counted reference to entry `name`, taken in the lookup's
+  // hold; ".." is the parent. kENOENT for a missing name, and for ".." of a
+  // removed directory.
   Result<Inode*> Lookup(const std::string& name) const;
+  // Adds entry `name` and its link; a directory child gets this directory
+  // as its "..". kEEXIST if the name is taken, kENOENT if this directory is
+  // not in the tree (rmdir removed it, or it was never added).
   Status AddEntry(const std::string& name, Inode* child);
-  Status RemoveEntry(const std::string& name);
-  bool DirEmpty() const;
+  // Removes entry `name` and its link. With `dir` (rmdir) the entry must be
+  // an empty directory, which loses its ".." in the same hold (POSIX: no
+  // entry can be created in it afterwards); without (unlink) it must not be
+  // a directory. Lock order: this directory, then the child.
+  Status RemoveEntry(const std::string& name, bool dir);
+  // The name under which this directory lists `child` (getcwd).
+  Result<std::string> NameOf(const Inode* child) const;
   std::vector<std::string> ListEntries() const;
-
-  // Parent directory ("..") — the root points at itself.
-  Inode* parent = nullptr;
 
   // --- Pipe ---
   void AttachPipe(std::unique_ptr<Pipe> p);
@@ -105,8 +120,23 @@ class Inode {
   bool synthetic() const { return static_cast<bool>(refresh_); }
 
  private:
+  friend class Vfs;  // links the root, which is its own ".." and has no entry
+  friend Inode* Iget(Inode* ip);
+  friend void Iput(Inode* ip);
+
+  // Units of count_: links in the high half, references in the low half.
+  static constexpr u64 kRef = 1;
+  static constexpr u64 kLink = u64{1} << 32;
+  // Drops one unit; at zero no entry names the inode and nobody holds it,
+  // so it is freed. A freed directory drops the links of its remaining
+  // entries (only a filesystem's root is freed with any). Takes no lock,
+  // so a spinlock holder may drop.
+  static void Drop(Inode* ip, u64 unit);
+
   const ino_t ino_;
   const InodeType type_;
+  std::atomic<u64> count_{kRef};  // created with one reference and no link
+  std::atomic<u64>& live_;
 
   mutable std::mutex mu_;
   mode_t mode_;
@@ -114,6 +144,7 @@ class Inode {
   gid_t gid_;
   std::vector<std::byte> data_;              // kRegular
   std::map<std::string, Inode*> entries_;    // kDirectory
+  Inode* parent_ = nullptr;                  // kDirectory: ".."; null out of the tree
   std::unique_ptr<Pipe> pipe_;               // kPipe
   std::function<std::string()> gen_;         // synthetic kRegular (no mu_)
   std::function<void()> refresh_;            // synthetic kDirectory (no mu_)
@@ -126,60 +157,34 @@ enum class Access { kRead, kWrite, kExec };
 // bits, else other bits; uid 0 passes everything.
 bool Permits(const Inode& ip, uid_t uid, gid_t gid, Access want);
 
-// The system inode table: allocation, lookup, and reference counting.
+// Takes another reference to a live inode (paper: the shared block "has the
+// count bumped one ... this avoids any races whereby the process that
+// changed the resource exits before all other group members have had a
+// chance to synchronize"). One fetch_add.
+Inode* Iget(Inode* ip);
+// Drops a reference; the inode is freed once no reference and no link is
+// left. Lock-free: a spinlock holder may put.
+void Iput(Inode* ip);
+
+// The system inode table. It owns no inodes, since each counts itself;
+// only the allocation budget is table-wide.
 class InodeTable {
  public:
-  explicit InodeTable(u32 max_inodes);
+  explicit InodeTable(u32 max_inodes) : max_inodes_(max_inodes) {}
   InodeTable(const InodeTable&) = delete;
   InodeTable& operator=(const InodeTable&) = delete;
-  ~InodeTable();
 
-  // Allocates a new inode with reference count 1 and nlink 0.
+  // Allocates a new inode with one reference and no link; kENOSPC when the
+  // table is full.
   Result<Inode*> Alloc(InodeType type, mode_t mode, uid_t uid, gid_t gid);
 
-  // Takes an additional reference (paper: the shared block "has the count
-  // bumped one ... this avoids any races whereby the process that changed
-  // the resource exits before all other group members have had a chance to
-  // synchronize").
-  Inode* Iget(Inode* ip);
-
-  // Drops a reference; the inode is destroyed when both the reference count
-  // and the link count reach zero.
-  void Iput(Inode* ip);
-
-  // Spin-safe refcounting. Iget/Iput take mu_, which may block, so a
-  // spinlock holder must not call them (sgcheck: sleep-in-atomic; lockdep
-  // reports the same at runtime). Callers that need to move inode
-  // references from inside a spinlock section take the table lock FIRST —
-  // mutex outside spinlock is the legal order — and use the *Locked forms
-  // within:
-  //
-  //   auto tbl = inodes.Acquire();   // may block (no spinlock held yet)
-  //   SpinGuard g(rupdlock_);
-  //   inodes.IputLocked(old);        // pure table ops, never blocks
-  //
-  // Vfs::Namei uses them too: it looks a child up and counts it in one
-  // hold, so an unlink's LinkDec cannot free the child in between. Lock
-  // order: table mutex, then a directory's mutex.
-  std::unique_lock<std::mutex> Acquire() const;
-  Inode* IgetLocked(Inode* ip);  // caller holds the Acquire() lock
-  void IputLocked(Inode* ip);    // caller holds the Acquire() lock
-
-  u32 RefCount(const Inode* ip) const;
-  u64 Count() const;
-
-  // Adjusts nlink under the table lock (entries changed by the VFS layer).
-  void LinkInc(Inode* ip);
-  // Decrements nlink, destroying the inode if it becomes unreferenced.
-  void LinkDec(Inode* ip);
+  // Live inodes.
+  u64 Count() const { return count_.load(std::memory_order_acquire); }
 
  private:
-  void MaybeFree(Inode* ip);  // caller holds mu_
-
-  mutable std::mutex mu_;
   u32 max_inodes_;
-  ino_t next_ino_ = 1;  // the root directory is allocated first and gets 1
-  std::map<const Inode*, std::pair<std::unique_ptr<Inode>, u32>> table_;  // inode -> (owner, refs)
+  std::atomic<ino_t> next_ino_{1};  // the root directory is allocated first and gets 1
+  std::atomic<u64> count_{0};
 };
 
 }  // namespace sg

@@ -19,66 +19,64 @@ std::string_view NextComponent(std::string_view& rest) {
   return comp;
 }
 
+// May `cred` add or remove entries of `dp`? Synthetic directories own their
+// namespace: user link/unlink/creat in them is EPERM (even for root).
+Status MayEdit(const Inode& dp, const Cred& cred) {
+  if (dp.synthetic()) {
+    return Errno::kEPERM;
+  }
+  if (!Permits(dp, cred.uid, cred.gid, Access::kWrite)) {
+    return Errno::kEACCES;
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
-Vfs::Vfs(u32 max_inodes, u32 max_files) : inodes_(max_inodes), files_(inodes_, max_files) {
+Vfs::Vfs(u32 max_inodes, u32 max_files) : inodes_(max_inodes), files_(max_files) {
   auto r = inodes_.Alloc(InodeType::kDirectory, 0755, 0, 0);
   SG_CHECK(r.ok());
   root_ = r.value();
-  root_->parent = root_;       // ".." at the root stays at the root
-  inodes_.LinkInc(root_);      // the root is always linked
+  root_->parent_ = root_;  // ".." at the root stays at the root
+  root_->count_.fetch_add(Inode::kLink, std::memory_order_relaxed);  // the root is always linked
 }
 
 Vfs::~Vfs() {
-  inodes_.LinkDec(root_);
-  inodes_.Iput(root_);
+  Inode::Drop(root_, Inode::kLink);
+  Iput(root_);  // the last put frees the tree
 }
 
 Result<Inode*> Vfs::Namei(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view path) {
   if (path.empty()) {
     return Errno::kENOENT;
   }
-  Inode* at = (path.front() == '/') ? rootdir : cwd;
-  at = inodes_.Iget(at);
+  Inode* at = Iget(path.front() == '/' ? rootdir : cwd);
   std::string_view rest = path;
   while (true) {
     std::string_view comp = NextComponent(rest);
     if (comp.empty()) {
       break;  // trailing slash or end
     }
+    Result<Inode*> next = Errno::kENOENT;
     if (comp.size() > kMaxNameLen) {
-      inodes_.Iput(at);
-      return Errno::kENAMETOOLONG;
+      next = Errno::kENAMETOOLONG;
+    } else if (at->type() != InodeType::kDirectory) {
+      next = Errno::kENOTDIR;
+    } else if (!Permits(*at, cred.uid, cred.gid, Access::kExec)) {
+      next = Errno::kEACCES;
+    } else if (comp == "." || (comp == ".." && at == rootdir)) {
+      next = Iget(at);  // ".." never climbs above the process's root (chroot jail)
+    } else {
+      at->InvokeRefresh();  // synthetic dirs (procfs) re-populate before lookup
+      // The lookup counts the child in the directory's hold, while the
+      // entry's link keeps it alive: an unlink cannot free it in between.
+      next = at->Lookup(std::string(comp));
     }
-    if (at->type() != InodeType::kDirectory) {
-      inodes_.Iput(at);
-      return Errno::kENOTDIR;
+    Iput(at);
+    if (!next.ok()) {
+      return next.error();
     }
-    if (!Permits(*at, cred.uid, cred.gid, Access::kExec)) {
-      inodes_.Iput(at);
-      return Errno::kEACCES;
-    }
-    at->InvokeRefresh();  // synthetic dirs (procfs) re-populate before lookup
-    // Look the child up and count it in one hold of the table lock: an
-    // unlink's last LinkDec takes the same lock, so it cannot free the
-    // child in between. Lock order: inode table, then directory.
-    const std::string name(comp);
-    auto tbl = inodes_.Acquire();
-    Inode* next = at;
-    if (name == "..") {
-      // Never climb above the process's root directory (chroot jail).
-      next = (at == rootdir) ? at : at->parent;
-    } else if (name != ".") {
-      auto found = at->Lookup(name);
-      if (!found.ok()) {
-        inodes_.IputLocked(at);
-        return found.error();
-      }
-      next = found.value();
-    }
-    inodes_.IgetLocked(next);
-    inodes_.IputLocked(at);
-    at = next;
+    at = next.value();
   }
   if (at->type() == InodeType::kDirectory) {
     at->InvokeRefresh();  // resolving the dir itself (e.g. for ListDir)
@@ -116,7 +114,7 @@ Result<Inode*> Vfs::NameiParent(Inode* cwd, Inode* rootdir, const Cred& cred,
     return dir.error();
   }
   if (dir.value()->type() != InodeType::kDirectory) {
-    inodes_.Iput(dir.value());
+    Iput(dir.value());
     return Errno::kENOTDIR;
   }
   *leaf = std::string(leaf_part);
@@ -132,7 +130,7 @@ Result<OpenFile*> Vfs::Open(Inode* cwd, Inode* rootdir, const Cred& cred, std::s
   auto found = Namei(cwd, rootdir, cred, path);
   if (found.ok()) {
     if ((flags & kOpenCreat) != 0 && (flags & kOpenExcl) != 0) {
-      inodes_.Iput(found.value());
+      Iput(found.value());
       return Errno::kEEXIST;
     }
     ip = found.value();
@@ -145,53 +143,50 @@ Result<OpenFile*> Vfs::Open(Inode* cwd, Inode* rootdir, const Cred& cred, std::s
       return dir.error();
     }
     Inode* dp = dir.value();
-    if (dp->synthetic()) {
-      inodes_.Iput(dp);
-      return Errno::kEPERM;
-    }
-    if (!Permits(*dp, cred.uid, cred.gid, Access::kWrite)) {
-      inodes_.Iput(dp);
-      return Errno::kEACCES;
+    if (Status st = MayEdit(*dp, cred); !st.ok()) {
+      Iput(dp);
+      return st.error();
     }
     auto made = inodes_.Alloc(InodeType::kRegular, static_cast<mode_t>(mode & ~umask & kModeAll),
                               cred.uid, cred.gid);
     if (!made.ok()) {
-      inodes_.Iput(dp);
+      Iput(dp);
       return made.error();
     }
     ip = made.value();
-    // A racing creator can beat us to the entry; retry as plain open.
     Status added = dp->AddEntry(leaf, ip);
+    Iput(dp);
     if (!added.ok()) {
-      inodes_.Iput(ip);
-      inodes_.Iput(dp);
-      return Open(cwd, rootdir, cred, path, flags & ~kOpenCreat, mode, umask);
+      Iput(ip);
+      // A racing creator beat us to the name: open what it made (kEEXIST
+      // under kOpenExcl), or create again if it is already unlinked. A
+      // removed directory takes no entry (kENOENT).
+      return added.error() == Errno::kEEXIST ? Open(cwd, rootdir, cred, path, flags, mode, umask)
+                                             : added.error();
     }
-    inodes_.LinkInc(ip);
-    inodes_.Iput(dp);
   } else {
     return found.error();
   }
 
   if (ip->type() == InodeType::kDirectory && (flags & kOpenWrite) != 0) {
-    inodes_.Iput(ip);
+    Iput(ip);
     return Errno::kEISDIR;
   }
   if ((flags & kOpenRead) != 0 && !Permits(*ip, cred.uid, cred.gid, Access::kRead)) {
-    inodes_.Iput(ip);
+    Iput(ip);
     return Errno::kEACCES;
   }
   if ((flags & kOpenWrite) != 0 && !Permits(*ip, cred.uid, cred.gid, Access::kWrite)) {
-    inodes_.Iput(ip);
+    Iput(ip);
     return Errno::kEACCES;
   }
   if ((flags & kOpenWrite) != 0 && ip->generated()) {
-    inodes_.Iput(ip);
+    Iput(ip);
     return Errno::kEPERM;  // synthetic files render on read; writes are meaningless
   }
   auto f = files_.Alloc(ip, flags);
   if (!f.ok()) {
-    inodes_.Iput(ip);
+    Iput(ip);
     return f.error();
   }
   return f.value();  // the inode reference moved into the file entry
@@ -211,36 +206,25 @@ Status Vfs::Mkdir(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view
     return dir.error();
   }
   Inode* dp = dir.value();
-  if (dp->synthetic()) {
-    inodes_.Iput(dp);
-    return Errno::kEPERM;
+  Status st = MayEdit(*dp, cred);
+  if (st.ok()) {
+    if (auto found = dp->Lookup(leaf); found.ok()) {
+      Iput(found.value());
+      st = Errno::kEEXIST;
+    }
   }
-  if (!Permits(*dp, cred.uid, cred.gid, Access::kWrite)) {
-    inodes_.Iput(dp);
-    return Errno::kEACCES;
+  if (st.ok()) {
+    auto made = inodes_.Alloc(InodeType::kDirectory,
+                              static_cast<mode_t>(mode & ~umask & kModeAll), cred.uid, cred.gid);
+    if (!made.ok()) {
+      st = made.status();
+    } else {
+      st = dp->AddEntry(leaf, made.value());
+      Iput(made.value());  // the directory entry (its link) keeps it alive
+    }
   }
-  if (dp->Lookup(leaf).ok()) {
-    inodes_.Iput(dp);
-    return Errno::kEEXIST;
-  }
-  auto made = inodes_.Alloc(InodeType::kDirectory,
-                            static_cast<mode_t>(mode & ~umask & kModeAll), cred.uid, cred.gid);
-  if (!made.ok()) {
-    inodes_.Iput(dp);
-    return made.error();
-  }
-  Inode* child = made.value();
-  child->parent = dp;
-  Status added = dp->AddEntry(leaf, child);
-  if (!added.ok()) {
-    inodes_.Iput(child);
-    inodes_.Iput(dp);
-    return added;
-  }
-  inodes_.LinkInc(child);
-  inodes_.Iput(child);  // the directory entry (nlink) keeps it alive
-  inodes_.Iput(dp);
-  return Status::Ok();
+  Iput(dp);
+  return st;
 }
 
 Status Vfs::Link(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view existing,
@@ -250,96 +234,48 @@ Status Vfs::Link(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view 
     return target.error();
   }
   Inode* ip = target.value();
-  if (ip->type() == InodeType::kDirectory) {
-    inodes_.Iput(ip);
-    return Errno::kEISDIR;  // no hard links to directories
-  }
   std::string leaf;
-  auto dir = NameiParent(cwd, rootdir, cred, newpath, &leaf);
-  if (!dir.ok()) {
-    inodes_.Iput(ip);
-    return dir.error();
+  Status st = Status::Ok();
+  if (ip->type() == InodeType::kDirectory) {
+    st = Errno::kEISDIR;  // no hard links to directories
+  } else if (auto dir = NameiParent(cwd, rootdir, cred, newpath, &leaf); !dir.ok()) {
+    st = dir.status();
+  } else {
+    Inode* dp = dir.value();
+    st = ip->generated() ? Status(Errno::kEPERM) : MayEdit(*dp, cred);
+    if (st.ok()) {
+      st = dp->AddEntry(leaf, ip);
+    }
+    Iput(dp);
   }
-  Inode* dp = dir.value();
-  if (dp->synthetic() || ip->generated()) {
-    inodes_.Iput(dp);
-    inodes_.Iput(ip);
-    return Errno::kEPERM;
-  }
-  if (!Permits(*dp, cred.uid, cred.gid, Access::kWrite)) {
-    inodes_.Iput(dp);
-    inodes_.Iput(ip);
-    return Errno::kEACCES;
-  }
-  Status added = dp->AddEntry(leaf, ip);
-  if (added.ok()) {
-    inodes_.LinkInc(ip);
-  }
-  inodes_.Iput(dp);
-  inodes_.Iput(ip);
-  return added;
+  Iput(ip);
+  return st;
 }
 
 Status Vfs::Unlink(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view path) {
-  std::string leaf;
-  auto dir = NameiParent(cwd, rootdir, cred, path, &leaf);
-  if (!dir.ok()) {
-    return dir.error();
-  }
-  Inode* dp = dir.value();
-  if (dp->synthetic()) {
-    inodes_.Iput(dp);
-    return Errno::kEPERM;
-  }
-  if (!Permits(*dp, cred.uid, cred.gid, Access::kWrite)) {
-    inodes_.Iput(dp);
-    return Errno::kEACCES;
-  }
-  auto found = dp->Lookup(leaf);
-  if (!found.ok()) {
-    inodes_.Iput(dp);
-    return found.error();
-  }
-  Inode* ip = found.value();
-  if (ip->type() == InodeType::kDirectory) {
-    inodes_.Iput(dp);
-    return Errno::kEISDIR;  // use Rmdir
-  }
-  SG_CHECK(dp->RemoveEntry(leaf).ok());
-  inodes_.LinkDec(ip);  // open references keep the data alive until closed
-  inodes_.Iput(dp);
-  return Status::Ok();
+  return Remove(cwd, rootdir, cred, path, /*dir=*/false);
 }
 
 Status Vfs::Rmdir(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view path) {
+  return Remove(cwd, rootdir, cred, path, /*dir=*/true);
+}
+
+Status Vfs::Remove(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view path,
+                   bool dir) {
   std::string leaf;
-  auto dir = NameiParent(cwd, rootdir, cred, path, &leaf);
-  if (!dir.ok()) {
-    return dir.error();
+  auto parent = NameiParent(cwd, rootdir, cred, path, &leaf);
+  if (!parent.ok()) {
+    return parent.error();
   }
-  Inode* dp = dir.value();
-  if (!Permits(*dp, cred.uid, cred.gid, Access::kWrite)) {
-    inodes_.Iput(dp);
-    return Errno::kEACCES;
+  Inode* dp = parent.value();
+  Status st = MayEdit(*dp, cred);
+  if (st.ok()) {
+    // One hold of dp's lock finds the entry, checks it and drops its link,
+    // so of two removals of one name the second gets kENOENT.
+    st = dp->RemoveEntry(leaf, dir);
   }
-  auto found = dp->Lookup(leaf);
-  if (!found.ok()) {
-    inodes_.Iput(dp);
-    return found.error();
-  }
-  Inode* ip = found.value();
-  if (ip->type() != InodeType::kDirectory) {
-    inodes_.Iput(dp);
-    return Errno::kENOTDIR;
-  }
-  if (!ip->DirEmpty()) {
-    inodes_.Iput(dp);
-    return Errno::kENOTEMPTY;
-  }
-  SG_CHECK(dp->RemoveEntry(leaf).ok());
-  inodes_.LinkDec(ip);
-  inodes_.Iput(dp);
-  return Status::Ok();
+  Iput(dp);
+  return st;
 }
 
 Result<std::pair<OpenFile*, OpenFile*>> Vfs::MakePipe() {
@@ -351,10 +287,10 @@ Result<std::pair<OpenFile*, OpenFile*>> Vfs::MakePipe() {
   ip->AttachPipe(std::make_unique<Pipe>());
   auto rd = files_.Alloc(ip, kOpenRead);
   if (!rd.ok()) {
-    inodes_.Iput(ip);
+    Iput(ip);
     return rd.error();
   }
-  auto wr = files_.Alloc(inodes_.Iget(ip), kOpenWrite);
+  auto wr = files_.Alloc(Iget(ip), kOpenWrite);
   if (!wr.ok()) {
     files_.Release(rd.value());
     return wr.error();

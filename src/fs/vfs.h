@@ -40,7 +40,8 @@ class Vfs {
   InodeTable& inodes() { return inodes_; }
   FileTable& files() { return files_; }
 
-  // The filesystem root ("/"). Callers Iget their own references.
+  // The filesystem root ("/"). Callers Iget their own references; the last
+  // put, in ~Vfs, frees the tree.
   Inode* root() { return root_; }
 
   // Resolves `path` to an inode, returning a COUNTED reference (caller must
@@ -64,6 +65,9 @@ class Vfs {
   // Open succeeded leaves the file's bytes alone.
   void TruncateOnOpen(OpenFile& f);
 
+  // Each namespace edit holds only the directory it changes, and changes
+  // the entry and the link it carries in one hold of its lock: of two
+  // removals of one name the second gets kENOENT.
   Status Mkdir(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view path, mode_t mode,
                mode_t umask);
   Status Link(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view existing,
@@ -81,6 +85,9 @@ class Vfs {
   Result<u64> Seek(OpenFile& f, i64 offset, SeekWhence whence);
 
  private:
+  // Unlink (`dir` false) and Rmdir (`dir` true).
+  Status Remove(Inode* cwd, Inode* rootdir, const Cred& cred, std::string_view path, bool dir);
+
   InodeTable inodes_;
   FileTable files_;
   Inode* root_ = nullptr;

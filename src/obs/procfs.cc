@@ -20,90 +20,61 @@ std::string Hex(u64 v) {
 
 Procfs::Procfs(Vfs& vfs, ProcLister procs, GroupLister groups)
     : vfs_(vfs), procs_(std::move(procs)), groups_(std::move(groups)) {
-  InodeTable& tab = vfs_.inodes();
-
-  // Build the whole subtree first, then publish "proc" in the root — path
-  // resolution never sees a half-built tree. We keep our own counted
-  // reference on every node we create (released on removal), so the raw
-  // pointers in pid_nodes_/group_nodes_ stay valid.
-  auto made = tab.Alloc(InodeType::kDirectory, 0555, 0, 0);
-  SG_CHECK(made.ok());
-  proc_dir_ = made.value();
-  proc_dir_->parent = vfs_.root();
-  proc_dir_->SetRefreshHook([this] { Refresh(); });
-
+  // A directory takes entries only once it is in the tree, so "proc" is
+  // published before it is populated; the kernel mounts /proc before any
+  // process can walk a path. We keep our own counted reference on every
+  // node we create (released on removal), so the raw pointers in
+  // pid_nodes_/group_nodes_ stay valid.
+  proc_dir_ = MakeDir(vfs_.root(), "proc");
   stat_file_ = MakeFile(proc_dir_, "stat", [] { return Stats::Global().RenderText(); });
-
-  made = tab.Alloc(InodeType::kDirectory, 0555, 0, 0);
-  SG_CHECK(made.ok());
-  share_dir_ = made.value();
-  share_dir_->parent = proc_dir_;
-  share_dir_->SetRefreshHook([this] { Refresh(); });
-  SG_CHECK(proc_dir_->AddEntry("share", share_dir_).ok());
-  tab.LinkInc(share_dir_);
-
-  SG_CHECK(vfs_.root()->AddEntry("proc", proc_dir_).ok());
-  tab.LinkInc(proc_dir_);
+  share_dir_ = MakeDir(proc_dir_, "share");
 }
 
 Procfs::~Procfs() {
   MutexGuard l(refresh_mu_);
-  InodeTable& tab = vfs_.inodes();
   for (auto& [name, ip] : extra_files_) {
-    RemoveFile(proc_dir_, name, ip);
+    Remove(proc_dir_, name, ip);
   }
   extra_files_.clear();
   for (auto& [pid, node] : pid_nodes_) {
-    RemoveFile(node.dir, "status", node.status);
-    SG_CHECK(proc_dir_->RemoveEntry(std::to_string(pid)).ok());
-    tab.LinkDec(node.dir);
-    tab.Iput(node.dir);
+    Remove(node.dir, "status", node.status);
+    Remove(proc_dir_, std::to_string(pid), node.dir);
   }
   pid_nodes_.clear();
   for (auto& [gid, ip] : group_nodes_) {
-    RemoveFile(share_dir_, std::to_string(gid), ip);
+    Remove(share_dir_, std::to_string(gid), ip);
   }
   group_nodes_.clear();
-  RemoveFile(proc_dir_, "stat", stat_file_);
-  SG_CHECK(proc_dir_->RemoveEntry("share").ok());
-  tab.LinkDec(share_dir_);
-  tab.Iput(share_dir_);
-  SG_CHECK(vfs_.root()->RemoveEntry("proc").ok());
-  tab.LinkDec(proc_dir_);
-  tab.Iput(proc_dir_);
+  Remove(proc_dir_, "stat", stat_file_);
+  Remove(proc_dir_, "share", share_dir_);
+  Remove(vfs_.root(), "proc", proc_dir_);
 }
 
 Inode* Procfs::MakeDir(Inode* parent, const std::string& name) {
-  InodeTable& tab = vfs_.inodes();
-  auto made = tab.Alloc(InodeType::kDirectory, 0555, 0, 0);
+  auto made = vfs_.inodes().Alloc(InodeType::kDirectory, 0555, 0, 0);
   SG_CHECK(made.ok());
   Inode* dir = made.value();
-  dir->parent = parent;
   // Marks the dir synthetic (user link/unlink inside it is EPERM) and keeps
   // its entries fresh when a path walk enters it directly.
   dir->SetRefreshHook([this] { Refresh(); });
   SG_CHECK(parent->AddEntry(name, dir).ok());
-  tab.LinkInc(dir);
   return dir;
 }
 
 Inode* Procfs::MakeFile(Inode* parent, const std::string& name,
                         std::function<std::string()> gen) {
-  InodeTable& tab = vfs_.inodes();
-  auto made = tab.Alloc(InodeType::kRegular, 0444, 0, 0);
+  auto made = vfs_.inodes().Alloc(InodeType::kRegular, 0444, 0, 0);
   SG_CHECK(made.ok());
   Inode* ip = made.value();
   ip->SetGenerator(std::move(gen));  // before publication: immutable after
   SG_CHECK(parent->AddEntry(name, ip).ok());
-  tab.LinkInc(ip);
   return ip;
 }
 
-void Procfs::RemoveFile(Inode* parent, const std::string& name, Inode* ip) {
-  InodeTable& tab = vfs_.inodes();
-  SG_CHECK(parent->RemoveEntry(name).ok());
-  tab.LinkDec(ip);  // an open descriptor keeps the inode alive until close
-  tab.Iput(ip);     // our creation reference
+void Procfs::Remove(Inode* parent, const std::string& name, Inode* ip) {
+  // A directory goes empty; an open descriptor keeps a file alive until close.
+  SG_CHECK(parent->RemoveEntry(name, ip->type() == InodeType::kDirectory).ok());
+  Iput(ip);  // our creation reference
 }
 
 void Procfs::AddRootFile(const std::string& name, std::function<std::string()> gen) {
@@ -114,7 +85,6 @@ void Procfs::AddRootFile(const std::string& name, std::function<std::string()> g
 
 void Procfs::Refresh() {
   MutexGuard l(refresh_mu_);
-  InodeTable& tab = vfs_.inodes();
 
   // --- /proc/<pid> ---
   const std::vector<ProcStatus> procs = procs_();
@@ -127,10 +97,8 @@ void Procfs::Refresh() {
       ++it;
       continue;
     }
-    RemoveFile(it->second.dir, "status", it->second.status);
-    SG_CHECK(proc_dir_->RemoveEntry(std::to_string(it->first)).ok());
-    tab.LinkDec(it->second.dir);
-    tab.Iput(it->second.dir);
+    Remove(it->second.dir, "status", it->second.status);
+    Remove(proc_dir_, std::to_string(it->first), it->second.dir);
     it = pid_nodes_.erase(it);
   }
   for (const auto& [pid, unused] : live) {
@@ -155,7 +123,7 @@ void Procfs::Refresh() {
       ++it;
       continue;
     }
-    RemoveFile(share_dir_, std::to_string(it->first), it->second);
+    Remove(share_dir_, std::to_string(it->first), it->second);
     it = group_nodes_.erase(it);
   }
   for (const auto& [gid, unused] : live_groups) {

@@ -89,7 +89,9 @@ class Procfs {
  private:
   Inode* MakeDir(Inode* parent, const std::string& name);
   Inode* MakeFile(Inode* parent, const std::string& name, std::function<std::string()> gen);
-  void RemoveFile(Inode* parent, const std::string& name, Inode* ip);
+  // Removes entry `name` (`ip`, a file or an emptied directory) and drops
+  // our reference.
+  void Remove(Inode* parent, const std::string& name, Inode* ip);
 
   std::string RenderStatus(i32 pid) const;
   std::string RenderGroup(u64 gid) const;
@@ -101,12 +103,12 @@ class Procfs {
   // sgcheck:allow(guarded-fields): callback bound at construction, see above
   GroupLister groups_;
 
-  // sgcheck:allow(guarded-fields): set once in Mount before /proc is
-  // reachable, then read-only
+  // sgcheck:allow(guarded-fields): set once in the constructor, before any
+  // process runs, then read-only
   Inode* proc_dir_ = nullptr;   // /proc (own counted ref held)
-  // sgcheck:allow(guarded-fields): set once in Mount, see above
+  // sgcheck:allow(guarded-fields): set once in the constructor, see above
   Inode* share_dir_ = nullptr;  // /proc/share (own counted ref held)
-  // sgcheck:allow(guarded-fields): set once in Mount, see above
+  // sgcheck:allow(guarded-fields): set once in the constructor, see above
   Inode* stat_file_ = nullptr;  // /proc/stat
 
   Mutex refresh_mu_;  // serializes concurrent traversal-driven refreshes

@@ -192,6 +192,25 @@ TEST(FsCalls, UnlinkedCwdReportsDisconnected) {
     // We can still escape upward.
     ASSERT_EQ(env.Chdir("/"), 0);
     EXPECT_EQ(env.Getcwd(), "/");
+
+    // POSIX rmdir: removing the last link removes ".." too, so from inside
+    // /a/b after both are removed, ".." and getcwd fail instead of
+    // reaching the freed /a, and the removed directory takes no entry.
+    ASSERT_EQ(env.Mkdir("/a"), 0);
+    ASSERT_EQ(env.Mkdir("/a/b"), 0);
+    ASSERT_EQ(env.Chdir("/a/b"), 0);
+    ASSERT_TRUE(env.kernel().Rmdir(env.proc(), "/a/b").ok());
+    ASSERT_TRUE(env.kernel().Rmdir(env.proc(), "/a").ok());
+    EXPECT_EQ(env.Chdir(".."), -1);
+    EXPECT_EQ(env.LastError(), Errno::kENOENT);
+    EXPECT_EQ(env.Getcwd(), "");
+    EXPECT_EQ(env.LastError(), Errno::kENOENT);
+    EXPECT_EQ(env.Mkdir("c"), -1);
+    EXPECT_EQ(env.LastError(), Errno::kENOENT);
+    EXPECT_LT(env.Open("f", kOpenWrite | kOpenCreat), 0);
+    EXPECT_EQ(env.LastError(), Errno::kENOENT);
+    ASSERT_EQ(env.Chdir("/"), 0);
+    EXPECT_EQ(env.Getcwd(), "/");
   });
 }
 
@@ -239,10 +258,11 @@ TEST(FsCalls, OfileSnapshotRacesGrowingMasterTable) {
 }
 
 // A path walk looks a child up and takes its reference in one hold of the
-// inode-table lock, which Unlink's last LinkDec also takes. The walk used
-// to drop the directory's lock between the two, so an unlink could free
-// the child there: the Iget then panicked on the missing table entry, or
-// counted a reference on a new inode allocated at the same address.
+// directory's lock, which Unlink also holds to remove the entry and drop
+// its link. The walk used to drop the directory's lock between the two, so
+// an unlink could free the child there: the Iget then panicked on the
+// missing table entry, or counted a reference on a new inode allocated at
+// the same address.
 TEST(FsCalls, OpenRacingUnlinkNeverLosesTheInode) {
   Kernel k;
   RunAsProcess(k, [&](Env& env) {
@@ -266,6 +286,79 @@ TEST(FsCalls, OpenRacingUnlinkNeverLosesTheInode) {
     env.WaitChild();
   });
   EXPECT_EQ(k.vfs().files().Count(), 0u);
+}
+
+// Two processes create, close and remove one name. Unlink and rmdir used
+// to look the name up, remove the entry and drop the link in three lock
+// holds, so both removers could pass the lookup and the second panicked
+// the kernel (a link count going below zero). One hold of the directory's
+// lock now does all three, and the loser gets kENOENT.
+TEST(FsCalls, RacingRemovalsOfOneNameLoseWithEnoent) {
+  Kernel k;
+  const u64 inodes0 = k.vfs().inodes().Count();
+  RunAsProcess(k, [&](Env& env) {
+    auto churn = [](Env& c) {
+      for (int i = 0; i < 20000; ++i) {
+        const int fd = c.Open("/t", kOpenRdwr | kOpenCreat);
+        if (fd < 0 || c.Close(fd) != 0) {
+          ADD_FAILURE() << "create/close round " << i << ": " << ErrnoName(c.LastError());
+          return;
+        }
+        if (c.Unlink("/t") != 0 && c.LastError() != Errno::kENOENT) {
+          ADD_FAILURE() << "unlink round " << i << ": " << ErrnoName(c.LastError());
+          return;
+        }
+        if (i % 8 != 0) {
+          continue;
+        }
+        if (c.Mkdir("/d") != 0 && c.LastError() != Errno::kEEXIST) {
+          ADD_FAILURE() << "mkdir round " << i << ": " << ErrnoName(c.LastError());
+          return;
+        }
+        const Status rm = c.kernel().Rmdir(c.proc(), "/d");
+        if (!rm.ok() && rm.error() != Errno::kENOENT) {
+          ADD_FAILURE() << "rmdir round " << i << ": " << rm.name();
+          return;
+        }
+      }
+    };
+    env.Fork([&](Env& c, long) { churn(c); });
+    churn(env);
+    env.WaitChild();
+  });
+  EXPECT_EQ(k.vfs().files().Count(), 0u);
+  EXPECT_EQ(k.vfs().inodes().Count(), inodes0);
+}
+
+// Stat reads the link count while link and unlink change it. The count was
+// a plain field written under the inode-table lock and read under none, a
+// data race under tsan; it now lives in the inode's atomic count word.
+TEST(FsCalls, StatRacingLinkSeesWholeLinkCounts) {
+  Kernel k;
+  RunAsProcess(k, [&](Env& env) {
+    const int fd = env.Open("/f", kOpenWrite | kOpenCreat);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(env.Close(fd), 0);
+    std::atomic<bool> done{false};
+    env.Fork([&](Env& c, long) {
+      for (int i = 0; i < 2000; ++i) {
+        if (!c.kernel().Link(c.proc(), "/f", "/g").ok() || c.Unlink("/g") != 0) {
+          ADD_FAILURE() << "link/unlink round " << i;
+          break;
+        }
+      }
+      done = true;
+    });
+    while (!done.load()) {
+      auto st = env.kernel().Stat(env.proc(), "/f");
+      if (!st.ok() || st.value().nlink < 1 || st.value().nlink > 2) {
+        ADD_FAILURE() << "stat saw nlink " << (st.ok() ? st.value().nlink : 0);
+        break;
+      }
+    }
+    env.WaitChild();
+    EXPECT_EQ(env.kernel().Stat(env.proc(), "/f").value().nlink, 1u);
+  });
 }
 
 }  // namespace

@@ -63,11 +63,11 @@ TEST_F(VfsFixture, NameiWalksDirectoriesAndDotDot) {
   ASSERT_TRUE(Touch("/d1/d2/f", kOpenWrite | kOpenCreat).ok());
   auto ip = vfs.Namei(root(), root(), root_cred, "/d1/d2/../d2/./f");
   ASSERT_TRUE(ip.ok());
-  vfs.inodes().Iput(ip.value());
+  Iput(ip.value());
   // ".." above the root stays at the root (chroot jail behaviour).
   auto top = vfs.Namei(root(), root(), root_cred, "/../../d1");
   ASSERT_TRUE(top.ok());
-  vfs.inodes().Iput(top.value());
+  Iput(top.value());
   EXPECT_EQ(vfs.Namei(root(), root(), root_cred, "/nope/f").error(), Errno::kENOENT);
   EXPECT_EQ(vfs.Namei(root(), root(), root_cred, "/d1/d2/f/deeper").error(), Errno::kENOTDIR);
   EXPECT_EQ(vfs.Namei(root(), root(), root_cred, "").error(), Errno::kENOENT);
@@ -123,7 +123,7 @@ TEST_F(VfsFixture, DirectorySearchPermission) {
   ASSERT_TRUE(vfs.Mkdir(root(), root(), root_cred, "/locked", 0700, 0).ok());
   auto dir = vfs.Namei(root(), root(), root_cred, "/locked");
   dir.value()->set_owner(10, 10);
-  vfs.inodes().Iput(dir.value());
+  Iput(dir.value());
   ASSERT_TRUE(Touch("/locked/f", kOpenWrite | kOpenCreat, 0644, 0, Cred{10, 10}).ok());
   EXPECT_EQ(vfs.Namei(root(), root(), Cred{11, 11}, "/locked/f").error(), Errno::kEACCES);
 }
@@ -132,16 +132,16 @@ TEST_F(VfsFixture, LinkUnlinkAndNlink) {
   auto f = Open("/orig", kOpenWrite | kOpenCreat);
   ASSERT_TRUE(f.ok());
   Inode* ip = f.value()->inode();
-  EXPECT_EQ(ip->nlink, 1u);
+  EXPECT_EQ(ip->nlink(), 1u);
   ASSERT_TRUE(vfs.Link(root(), root(), root_cred, "/orig", "/alias").ok());
-  EXPECT_EQ(ip->nlink, 2u);
+  EXPECT_EQ(ip->nlink(), 2u);
   ASSERT_TRUE(vfs.Unlink(root(), root(), root_cred, "/orig").ok());
-  EXPECT_EQ(ip->nlink, 1u);
+  EXPECT_EQ(ip->nlink(), 1u);
   // Still reachable through the alias.
   auto alias = vfs.Namei(root(), root(), root_cred, "/alias");
   ASSERT_TRUE(alias.ok());
   EXPECT_EQ(alias.value(), ip);
-  vfs.inodes().Iput(alias.value());
+  Iput(alias.value());
   ASSERT_TRUE(vfs.Unlink(root(), root(), root_cred, "/alias").ok());
   EXPECT_EQ(vfs.Namei(root(), root(), root_cred, "/alias").error(), Errno::kENOENT);
   // The open reference keeps the data alive until released.

@@ -13,6 +13,7 @@
 #include "proc/proc.h"
 #include "proc/scheduler.h"
 #include "rm/rm.h"
+#include "sync/lockdep.h"
 
 namespace sg {
 namespace {
@@ -26,13 +27,13 @@ struct Rig {
 
   std::unique_ptr<Proc> MakeProc(pid_t pid) {
     auto p = std::make_unique<Proc>(pid, mem, sched, 64);
-    p->cwd = vfs.inodes().Iget(vfs.root());
-    p->rootdir = vfs.inodes().Iget(vfs.root());
+    p->cwd = Iget(vfs.root());
+    p->rootdir = Iget(vfs.root());
     return p;
   }
   void DestroyProc(Proc& p) {
-    vfs.inodes().Iput(p.cwd);
-    vfs.inodes().Iput(p.rootdir);
+    Iput(p.cwd);
+    Iput(p.rootdir);
     p.as.DetachAllPrivate();
   }
   // Raw attach mirroring the kernel's admission contract: the caller charges
@@ -66,9 +67,10 @@ TEST(ShaddrUnit, CreatorSeedsMasterCopies) {
   EXPECT_EQ(m.limit, 4242u);
   EXPECT_EQ(m.uid, 7);
   EXPECT_EQ(m.gid, 8);
-  EXPECT_EQ(block.cdir(), a->cwd);
+  EXPECT_EQ(m.cdir, a->cwd);
+  EXPECT_EQ(m.rdir, a->rootdir);
   // The block holds its own inode references (+2 on the root: cdir+rdir).
-  EXPECT_GE(rig.vfs.inodes().RefCount(rig.vfs.root()), 4u);
+  EXPECT_GE(rig.vfs.root()->refs(), 4u);
   EXPECT_TRUE(block.RemoveMember(*a));
   rig.DestroyProc(*a);
 }
@@ -232,7 +234,7 @@ TEST(ShaddrUnit, FdLongLagConverges) {
   auto b = rig.MakeProc(2);
   // a holds one open file in slot 0 before the group forms, so the block's
   // master copy seeds with it.
-  OpenFile* f = rig.vfs.files().Alloc(rig.vfs.inodes().Iget(rig.vfs.root()), kOpenRead).value();
+  OpenFile* f = rig.vfs.files().Alloc(Iget(rig.vfs.root()), kOpenRead).value();
   ASSERT_TRUE(a->fds.SetSlot(0, f, false).ok());
   {
     ShaddrBlock block(*a, rig.cpus, rig.vfs, rig.rm);
@@ -273,14 +275,16 @@ TEST(ShaddrUnit, FdLongLagConverges) {
   rig.DestroyProc(*b);
 }
 
-// Regression (the sgcheck find): UpdateDir/PullDir used to call Iget/Iput —
-// which take the inode-table mutex and may block — while holding rupdlock_,
-// a spinlock. The fix takes the table mutex FIRST (InodeTable::Acquire,
-// which reports itself to lockdep as a sleep site) and runs the *Locked
-// forms inside the spinlock, so the old order now fails three ways: sgcheck
-// sleep-in-atomic statically, lockdep's sleep-under-spin check dynamically
-// in this very test, and tsan on the concurrent section below.
-TEST(ShaddrUnit, DirUpdateTakesInodeTableMutexBeforeRupdlock) {
+// The dir row moves counted inode references inside rupdlock_, a
+// spinlock, through the same UpdateScalar/PullScalar as the ids, umask and
+// ulimit rows. That is sound only because an inode put never sleeps: it
+// takes no table lock, and a last put frees without taking a lock. Under
+// the lockdep preset a put that may sleep fails this test through
+// lockdep's sleep-under-spin report, and tsan checks the concurrent
+// refcount traffic below. (sgcheck cannot see these puts: they run through
+// the row's copy-function pointers.)
+TEST(ShaddrUnit, DirRowMovesCountedRefsUnderRupdlock) {
+  const u64 lockdep_reports = lockdep::Reports();
   Rig rig;
   auto a = rig.MakeProc(1);
   auto b = rig.MakeProc(2);
@@ -288,32 +292,38 @@ TEST(ShaddrUnit, DirUpdateTakesInodeTableMutexBeforeRupdlock) {
   const Cred cred;
   ASSERT_TRUE(rig.vfs.Mkdir(a->cwd, a->rootdir, cred, "/sub", 0755, 0).ok());
   Inode* sub = rig.vfs.Namei(a->cwd, a->rootdir, cred, "/sub").value();  // counted
+  // chdir's change: the counted reference moves into the cwd.
+  auto chdir_to = [](Inode* ip) {
+    return [ip](Proc& q) {
+      Iput(q.cwd);
+      q.cwd = ip;
+    };
+  };
 
   {
     ShaddrBlock block(*a, rig.cpus, rig.vfs, rig.rm);
     rig.Attach(block, *b, PR_SDIR);
 
-    // a chdirs: the counted /sub ref transfers to UpdateDir, which installs
-    // it as a's cwd and reseats the block's master copy (its own ref).
-    block.UpdateDir(*a, sub, nullptr);
+    // a chdirs: the /sub ref becomes a's cwd, and the block's master copy
+    // takes its own.
+    block.UpdateScalar(*a, kResDir, chdir_to(sub));
     EXPECT_EQ(a->cwd, sub);
-    EXPECT_EQ(block.cdir(), sub);
-    EXPECT_EQ(rig.vfs.inodes().RefCount(sub), 2u);  // a->cwd + master copy
+    EXPECT_EQ(block.scalars().cdir, sub);
+    EXPECT_EQ(sub->refs(), 2u);  // a->cwd + master copy
 
     // b syncs on its next kernel entry: same directory, its own counted
     // ref; the root stays its root.
     block.SyncOnKernelEntry(*b);
     EXPECT_EQ(b->cwd, sub);
     EXPECT_EQ(b->rootdir, rig.vfs.root());
-    EXPECT_EQ(rig.vfs.inodes().RefCount(sub), 3u);
+    EXPECT_EQ(sub->refs(), 3u);
 
-    // Concurrent updater/puller: every iteration crosses the inode-table
-    // mutex + rupdlock_ pair, so a lock-order regression trips lockdep (and
-    // tsan sees any unlocked refcount traffic).
+    // Concurrent updater/puller: every iteration puts inodes inside
+    // rupdlock_, so a put that sleeps trips lockdep (and tsan sees any
+    // unlocked refcount traffic).
     std::thread updater([&] {
       for (int i = 0; i < 100; ++i) {
-        Inode* next = rig.vfs.inodes().Iget(i % 2 == 0 ? rig.vfs.root() : sub);
-        block.UpdateDir(*a, next, nullptr);
+        block.UpdateScalar(*a, kResDir, chdir_to(Iget(i % 2 == 0 ? rig.vfs.root() : sub)));
       }
     });
     std::thread puller([&] {
@@ -332,8 +342,10 @@ TEST(ShaddrUnit, DirUpdateTakesInodeTableMutexBeforeRupdlock) {
   }
   rig.DestroyProc(*a);
   rig.DestroyProc(*b);
-  // Everything released: only the namespace (nlink) keeps /sub alive.
-  EXPECT_EQ(rig.vfs.inodes().RefCount(sub), 0u);
+  // Everything released: only the namespace (its link) keeps /sub alive.
+  EXPECT_EQ(sub->refs(), 0u);
+  EXPECT_EQ(sub->nlink(), 1u);
+  EXPECT_EQ(lockdep::Reports(), lockdep_reports) << lockdep::RenderReport();
 }
 
 }  // namespace
