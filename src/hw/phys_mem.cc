@@ -20,18 +20,22 @@ PhysMem::PhysMem(u64 bytes) : nframes_(PagesFor(bytes) + 1) {
 }
 
 Result<pfn_t> PhysMem::AllocFrame() {
-  pfn_t pfn;
-  {
-    SpinGuard g(lock_);
-    if (free_list_.empty()) {
-      return Errno::kENOMEM;
-    }
-    pfn = free_list_.back();
-    free_list_.pop_back();
-    SG_DCHECK(refcount_[pfn] == 0);
-    refcount_[pfn] = 1;
+  auto pfn = AllocFrameForOverwrite();
+  if (pfn.ok()) {
+    std::memset(FrameData(pfn.value()), 0, kPageSize);
   }
-  std::memset(FrameData(pfn), 0, kPageSize);
+  return pfn;
+}
+
+Result<pfn_t> PhysMem::AllocFrameForOverwrite() {
+  SpinGuard g(lock_);
+  if (free_list_.empty()) {
+    return Errno::kENOMEM;
+  }
+  const pfn_t pfn = free_list_.back();
+  free_list_.pop_back();
+  SG_DCHECK(refcount_[pfn] == 0);
+  refcount_[pfn] = 1;
   return pfn;
 }
 

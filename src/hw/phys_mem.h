@@ -27,6 +27,9 @@ class PhysMem {
 
   // Allocates a zeroed frame with refcount 1; ENOMEM when exhausted.
   Result<pfn_t> AllocFrame();
+  // The same without the zeroing, for a caller that overwrites all
+  // kPageSize bytes (a swap-in, a COW copy) before the frame is mapped.
+  Result<pfn_t> AllocFrameForOverwrite();
 
   // Reference counting. Unref frees the frame when the count reaches zero.
   void Ref(pfn_t pfn);

@@ -20,7 +20,7 @@
 // (region page tables, TLBs). The counter is therefore a pure logical
 // validity check — its memory-ordering obligations are modest, and the
 // seq_cst RMWs below are chosen for auditability, not necessity (the
-// dangerous interleavings are all mediated by the TLB/region locks; see
+// dangerous interleavings are all mediated by the TLB/page-table locks; see
 // the §4h proof sketch).
 //
 // Write sections are registered with lockdep as a spin-class lock: they

@@ -40,9 +40,10 @@ Status HandleFault(AddressSpace& as, vaddr_t va, bool want_write) {
       return st;  // bounded: see kMaxReclaimRetries
     }
     // Out of frames: wake the pager against our own visible image and
-    // retry; give up only when nothing could be stolen.
+    // retry; give up only when nothing could be stolen and no frame is free
+    // (a reclaimer we queued behind may have swept the image already).
     SG_OBS_INC("vm.fault.reclaim_retries");
-    if (ReclaimPages(as, 64) == 0) {
+    if (ReclaimPages(as, 64) == 0 && as.mem().FreeFrames() == 0) {
       return st;
     }
   }
@@ -55,9 +56,9 @@ bool ProtAllows(const Pregion& pr, bool want_write) {
 }
 
 // Resolves one page of `pr` and installs the translation in the faulter's
-// TLB, both under the region lock, so a pager steal (which holds it from its
-// flush to its copy-out) lands wholly before the resolution or wholly after
-// the insert. `flush_members(vpn)` runs when a COW break replaced the frame,
+// TLB, both under the PTE's page-table stripe, so a pager steal (which holds
+// it from its flush to its copy-out) lands wholly before the resolution or
+// wholly after the insert. `flush_members(vpn)` runs when a COW break replaced the frame,
 // BEFORE the insert — for a shared pregion it must drop every member's
 // stale translation so their next access refaults onto the new frame.
 template <typename FlushFn>
@@ -112,10 +113,10 @@ Attempt SharedAttempt(AddressSpace& as, SharedSpace& ss, vaddr_t va, bool want_w
   // page count: nothing on this lookup blocks.
   if (Pregion* pr = snap->Find(va); pr != nullptr) {
     if (ProtAllows(*pr, want_write)) {
-      // The region lock closes the resolve/insert vs pager-steal window;
+      // The PTE's stripe closes the resolve/insert vs pager-steal window;
       // layout writers are caught by the seqcount recheck below instead.
-      // sgcheck:allow(sleep-in-atomic): §4h — resolve takes the region
-      // mutex (spinning briefly first) and may read swap; the epoch pin is
+      // sgcheck:allow(sleep-in-atomic): §4h — resolve takes a page-table
+      // stripe (spinning briefly first) and may read swap; the epoch pin is
       // expected to span the whole resolve+flush+insert+recheck.
       st = ResolveAndMap(as, *pr, va, want_write, [&](u64 vpn) {
         // Frame change published to every member BEFORE the seqcount
@@ -148,7 +149,7 @@ Attempt SharedAttempt(AddressSpace& as, SharedSpace& ss, vaddr_t va, bool want_w
 // Private pregions are owner-thread state and resolve with no locking at
 // all. For the shared image, SharedAttempt looks `va` up in the published
 // snapshot under an epoch guard, resolves the page and inserts its
-// translation under that region's lock, and REVALIDATES the layout
+// translation under that PTE's stripe, and REVALIDATES the layout
 // seqcount: unchanged means no mutation straddled the resolution and the
 // installed translation stands.
 // A failed revalidation retries; retry exhaustion or an in-progress writer

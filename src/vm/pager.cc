@@ -28,8 +28,8 @@ u64 ReclaimPages(AddressSpace& as, u64 target) {
       if (stolen >= target) {
         break;
       }
-      // StealPages holds the region lock from each flush to its copy-out,
-      // and a lockless faulter inserts under the same lock, so no stale
+      // StealPages holds each PTE's stripe from its flush to its copy-out,
+      // and a lockless faulter inserts under the same stripe, so no stale
       // translation to a frame we swap out survives.
       const u64 vpn0 = PageOf(pr->base);
       stolen += pr->region->StealPages(target - stolen, [&](u64 idx) {

@@ -4,6 +4,7 @@
 
 #include "base/check.h"
 #include "hw/swap.h"
+#include "obs/stats.h"
 #include "sync/spinlock.h"  // CpuRelax
 #include "vm/page_source.h"
 
@@ -69,8 +70,20 @@ Region::~Region() {
   }
 }
 
+Region::TableGuard::TableGuard(const Region& r) : r(r) {
+  for (Stripe& s : r.stripes_) {
+    s.mu.lock();
+  }
+}
+
+Region::TableGuard::~TableGuard() {
+  for (Stripe& s : r.stripes_) {
+    s.mu.unlock();
+  }
+}
+
 void Region::SetCharge(PageCharge* charge) {
-  std::lock_guard<std::mutex> l(lock_);
+  TableGuard g(*this);
   if (charge == charge_) {
     return;
   }
@@ -89,19 +102,24 @@ void Region::SetCharge(PageCharge* charge) {
   charge_ = charge;
 }
 
-// try_lock rounds before a faulter sleeps on the region lock, ~1.8 µs on
-// a Xeon: enough to wait out another faulter's page resolution, well short
-// of a pager sweep, a resize or a writeback, which the faulter sleeps through.
+// try_lock rounds before a faulter sleeps on its stripe, ~1.8 µs on a Xeon:
+// enough to wait out another faulter's resolution or a pager run, well short
+// of a resize or a writeback, which the faulter sleeps through.
 constexpr int kFaultSpins = 64;
 
-void Region::LockForFault() {
-  for (int spin = 0; spin < kFaultSpins; ++spin) {
-    if (lock_.try_lock()) {
+void Region::LockForFault(std::mutex& mu) {
+  if (mu.try_lock()) {
+    return;
+  }
+  SG_OBS_INC("vm.ptlock.contended");
+  for (int spin = 1; spin < kFaultSpins; ++spin) {
+    CpuRelax();
+    if (mu.try_lock()) {
       return;
     }
-    CpuRelax();
   }
-  lock_.lock();
+  SG_OBS_INC("vm.ptlock.sleeps");
+  mu.lock();
 }
 
 Result<PageResolution> Region::ResolveLocked(u64 idx, bool want_write) {
@@ -124,7 +142,8 @@ Result<PageResolution> Region::ResolveLocked(u64 idx, bool want_write) {
     if (charge_ != nullptr && !charge_->TryChargePages(1)) {
       return Errno::kENOMEM;
     }
-    auto frame = mem_.AllocFrame();
+    // A swap-in overwrites the whole frame, so only the other fills zero it.
+    auto frame = pte.swap_slot != 0 ? mem_.AllocFrameForOverwrite() : mem_.AllocFrame();
     if (!frame.ok()) {
       if (charge_ != nullptr) {
         charge_->UnchargePages(1);
@@ -153,7 +172,7 @@ Result<PageResolution> Region::ResolveLocked(u64 idx, bool want_write) {
       pte.cow = false;
       return PageResolution{pte.pfn, true, false};
     }
-    auto frame = mem_.AllocFrame();
+    auto frame = mem_.AllocFrameForOverwrite();
     if (!frame.ok()) {
       return frame.error();
     }
@@ -170,7 +189,7 @@ Result<PageResolution> Region::ResolveLocked(u64 idx, bool want_write) {
 }
 
 Status Region::WriteBack() {
-  std::lock_guard<std::mutex> l(lock_);
+  TableGuard g(*this);
   if (!NeedsWriteBack()) {
     return Errno::kEINVAL;
   }
@@ -198,7 +217,7 @@ Status Region::WriteBack() {
 }
 
 Status Region::GrowTo(u64 new_pages) {
-  std::lock_guard<std::mutex> l(lock_);
+  TableGuard g(*this);
   if (new_pages < ptes_.size()) {
     return Errno::kEINVAL;
   }
@@ -208,7 +227,7 @@ Status Region::GrowTo(u64 new_pages) {
 }
 
 Status Region::ShrinkTo(u64 new_pages) {
-  std::lock_guard<std::mutex> l(lock_);
+  TableGuard g(*this);
   if (new_pages > ptes_.size()) {
     return Errno::kEINVAL;
   }
@@ -230,7 +249,7 @@ Status Region::ShrinkTo(u64 new_pages) {
 }
 
 std::shared_ptr<Region> Region::DupCow() {
-  std::lock_guard<std::mutex> l(lock_);
+  TableGuard g(*this);
   auto twin = std::shared_ptr<Region>(new Region(mem_, type_, ptes_.size()));
   // A private file mapping's twin keeps the backing so untouched pages
   // still fill from the file; it never writes back.
@@ -255,7 +274,7 @@ std::shared_ptr<Region> Region::DupCow() {
       if (dup.ok()) {
         twin->ptes_[i].swap_slot = dup.value();
       } else {
-        auto frame = mem_.AllocFrame();
+        auto frame = mem_.AllocFrameForOverwrite();
         SG_CHECK(frame.ok());  // out of memory AND swap: nothing left to do
         mem_.swap_device()->ReadInAndFree(src.swap_slot, mem_.FrameData(frame.value()));
         src.pfn = frame.value();
@@ -278,7 +297,7 @@ std::shared_ptr<Region> Region::DupCow() {
 }
 
 Status Region::FillFrom(u64 off, std::span<const std::byte> data) {
-  std::lock_guard<std::mutex> l(lock_);
+  TableGuard g(*this);
   if (off + data.size() > ptes_.size() * kPageSize) {
     return Errno::kEFAULT;
   }
@@ -308,7 +327,7 @@ Status Region::FillFrom(u64 off, std::span<const std::byte> data) {
 }
 
 Status Region::ReadBack(u64 off, std::span<std::byte> out) const {
-  std::lock_guard<std::mutex> l(lock_);
+  TableGuard g(*this);
   if (off + out.size() > ptes_.size() * kPageSize) {
     return Errno::kEFAULT;
   }
@@ -333,7 +352,7 @@ Status Region::ReadBack(u64 off, std::span<std::byte> out) const {
 }
 
 u64 Region::ResidentPages() const {
-  std::lock_guard<std::mutex> l(lock_);
+  TableGuard g(*this);
   u64 n = 0;
   for (const Pte& pte : ptes_) {
     n += pte.valid ? 1 : 0;
@@ -342,7 +361,7 @@ u64 Region::ResidentPages() const {
 }
 
 u64 Region::SwappedPages() const {
-  std::lock_guard<std::mutex> l(lock_);
+  TableGuard g(*this);
   u64 n = 0;
   for (const Pte& pte : ptes_) {
     n += (!pte.valid && pte.swap_slot != 0) ? 1 : 0;

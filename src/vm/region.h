@@ -8,17 +8,25 @@
 // (`DupCow`) produces a twin region whose pages share frames with the
 // source until either side writes.
 //
-// Locking: each region has its own lock covering its page table. Share-group
-// callers reach the region either through the group's UpdateLock or, on the
-// lockless fault path, under an epoch pin (see vm/access.cc) — the two
-// forms of the paper's fix for the "implicit pointers into the region"
-// problem of stock V.3. A fault installs its translation under this lock
-// (Resolve's `map`), and a pager steal holds it from its TLB flush to its
-// copy-out, so neither lands inside the other. Lock order: [group update
-// lock] -> region lock -> TLB spinlock.
+// Locking: the page table is guarded by kStripes mutexes ("stripes"), each
+// on its own cache line (1 KB per region): PTE `idx` belongs to stripe
+// (idx / kRunPtes) % kStripes, so faults on PTEs of different stripes do not
+// meet.
+// Share-group callers reach the region either through the group's UpdateLock
+// or, on the lockless fault path, under an epoch pin (see vm/access.cc) — the
+// two forms of the paper's fix for the "implicit pointers into the region"
+// problem of stock V.3. A fault installs its translation under its PTE's
+// stripe (Resolve's `map`), and a pager steal holds that stripe from its TLB
+// flush to its copy-out, so neither lands inside the other; the pager holds
+// one stripe per run it scans. Whole-table operations take every stripe in
+// ascending order (TableGuard), so the table's size and charge_ are stable
+// under any one stripe. Lock order: [group update lock] -> one stripe -> TLB
+// spinlock; only TableGuard holds two stripes.
 #ifndef SRC_VM_REGION_H_
 #define SRC_VM_REGION_H_
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -66,6 +74,11 @@ class PageSource;
 
 class Region {
  public:
+  // PTEs per stripe run, and stripes per region (sized by a sweep on
+  // perfbench shm_pool and shm_swap; DESIGN.md §4h item 3).
+  static constexpr u64 kRunPtes = 64;
+  static constexpr u64 kStripes = 16;
+
   // Creates a region of `pages` demand-zero pages.
   static std::shared_ptr<Region> Alloc(PhysMem& mem, RegionType type, u64 pages);
 
@@ -90,7 +103,7 @@ class Region {
 
   // Resolves page `idx` for an access, allocating a zero frame on first
   // touch and breaking copy-on-write when `want_write`, then runs
-  // `map(resolution)` before the region lock drops. kEFAULT if the index is
+  // `map(resolution)` before the PTE's stripe drops. kEFAULT if the index is
   // out of range; kENOMEM if physical memory is exhausted (`map` not run).
   template <typename MapFn>
   Result<PageResolution> Resolve(u64 idx, bool want_write, MapFn&& map);
@@ -160,26 +173,40 @@ class Region {
   friend struct Pregion;  // counts attachments_
   Region(PhysMem& mem, RegionType type, u64 pages);
 
-  // Takes lock_ for a fault: brief try_lock spins, then a sleeping lock().
-  void LockForFault();
-  // Resolve under lock_ (held by the caller).
+  struct alignas(64) Stripe {
+    std::mutex mu;
+  };
+  std::mutex& StripeOf(u64 idx) const { return stripes_[(idx / kRunPtes) % kStripes].mu; }
+
+  // Holds every stripe, taken in ascending order: the whole table is stable.
+  struct TableGuard {
+    explicit TableGuard(const Region& r);
+    ~TableGuard();
+    const Region& r;
+  };
+
+  // Takes a fault's stripe: brief try_lock spins, then a sleeping lock().
+  static void LockForFault(std::mutex& mu);
+  // Resolve under the PTE's stripe (held by the caller).
   Result<PageResolution> ResolveLocked(u64 idx, bool want_write);
 
-  // Steals one page (caller holds lock_, preconditions checked). Returns
-  // false if the swap device is full.
+  // Steals one page (caller holds its stripe, preconditions checked).
+  // Returns false if the swap device is full.
   template <typename FlushFn>
   bool StealOne(u64 idx, FlushFn&& flushed);
 
   PhysMem& mem_;
   RegionType type_;
-  mutable std::mutex lock_;
+  mutable std::array<Stripe, kStripes> stripes_;
+  // Each PTE is guarded by its stripe; the vector is resized only under
+  // every stripe.
   std::vector<Pte> ptes_;
-  // ptes_.size(), set at construction and stored under lock_ by every
-  // resize (GrowTo, ShrinkTo), so pages() needs no lock.
+  // ptes_.size(), set at construction and stored under every stripe by
+  // each resize (GrowTo, ShrinkTo), so pages() needs no lock.
   std::atomic<u64> npages_{0};
-  u64 clock_hand_ = 0;  // pager sweep position
+  std::atomic<u64> clock_hand_{0};  // pager sweep position; a hint only
 
-  // Resident-page accountant (guarded by lock_); see SetCharge.
+  // Resident-page accountant (set under every stripe); see SetCharge.
   PageCharge* charge_ = nullptr;
   // Pregions attaching this region; a group image counts once.
   std::atomic<u32> attachments_{0};
@@ -193,8 +220,9 @@ class Region {
 
 template <typename MapFn>
 Result<PageResolution> Region::Resolve(u64 idx, bool want_write, MapFn&& map) {
-  LockForFault();
-  std::lock_guard<std::mutex> l(lock_, std::adopt_lock);
+  std::mutex& mu = StripeOf(idx);
+  LockForFault(mu);
+  std::lock_guard<std::mutex> l(mu, std::adopt_lock);
   auto res = ResolveLocked(idx, want_write);
   if (res.ok()) {
     map(res.value());
@@ -210,7 +238,7 @@ bool Region::StealOne(u64 idx, FlushFn&& flushed) {
   // The caller may still have writable translations of this page cached;
   // invalidate them BEFORE copying the frame out, so no store lands after
   // the copy. A racing accessor then misses, faults, and blocks on this
-  // region's lock until we finish.
+  // PTE's stripe until we finish.
   flushed(idx);
   auto slot = mem_.swap_device()->WriteOut(mem_.FrameData(pte.pfn));
   if (!slot.ok()) {
@@ -230,32 +258,45 @@ bool Region::StealOne(u64 idx, FlushFn&& flushed) {
 
 template <typename FlushFn>
 u64 Region::StealPages(u64 want, FlushFn&& flushed) {
-  std::lock_guard<std::mutex> l(lock_);
-  if (mem_.swap_device() == nullptr || ptes_.empty() || attachments_ > 1) {
+  if (mem_.swap_device() == nullptr || attachments_ > 1) {
     return 0;
   }
   u64 stolen = 0;
   // Two-handed clock: up to two full sweeps (the first clears reference
-  // bits, the second harvests whatever stayed cold).
-  const u64 limit = 2 * ptes_.size();
-  for (u64 step = 0; step < limit && stolen < want; ++step) {
-    Pte& pte = ptes_[clock_hand_];
-    const u64 idx = clock_hand_;
-    clock_hand_ = (clock_hand_ + 1) % ptes_.size();
-    if (!pte.valid || pte.cow) {
-      continue;  // absent, or the frame is COW-shared with another region
-    }
-    if (pte.referenced) {
-      pte.referenced = false;  // second chance
+  // bits, the second harvests whatever stayed cold). Each run of kRunPtes
+  // PTEs is scanned under its own stripe, so faults elsewhere proceed; the
+  // table may resize between runs, so each run rereads its size.
+  const u64 limit = 2 * pages();
+  for (u64 step = 0; step < limit && stolen < want;) {
+    u64 idx = clock_hand_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> l(StripeOf(idx));
+    const u64 size = ptes_.size();
+    if (idx >= size) {
+      clock_hand_.store(0, std::memory_order_relaxed);  // shrunk since
+      if (size == 0) {
+        break;
+      }
       continue;
     }
-    if (mem_.RefCount(pte.pfn) != 1) {
-      continue;  // shared frame: no reverse map, so leave it alone
+    const u64 run_end = std::min(size, (idx / kRunPtes + 1) * kRunPtes);
+    for (; idx < run_end && step < limit && stolen < want; ++idx, ++step) {
+      Pte& pte = ptes_[idx];
+      if (!pte.valid || pte.cow) {
+        continue;  // absent, or the frame is COW-shared with another region
+      }
+      if (pte.referenced) {
+        pte.referenced = false;  // second chance
+        continue;
+      }
+      if (mem_.RefCount(pte.pfn) != 1) {
+        continue;  // shared frame: no reverse map, so leave it alone
+      }
+      if (!StealOne(idx, flushed)) {
+        return stolen;  // swap full
+      }
+      ++stolen;
     }
-    if (!StealOne(idx, flushed)) {
-      break;  // swap full
-    }
-    ++stolen;
+    clock_hand_.store(idx == size ? 0 : idx, std::memory_order_relaxed);
   }
   return stolen;
 }

@@ -147,9 +147,9 @@ std::unique_ptr<Pregion> SharedSpace::DetachPregion(vaddr_t base) {
   }
   // Leaving the group image: return the resident pages to the group before
   // the region (which may outlive the group via other owners — SysV
-  // segments) loses its last tie to this accountant. A racing lockless
-  // resolve serializes on the region lock: it either charges before this
-  // (and the detach returns that page too) or sees no accountant.
+  // segments) loses its last tie to this accountant. SetCharge takes every
+  // page-table stripe, so a racing lockless resolve either charges before
+  // this (and the detach returns that page too) or sees no accountant.
   owned->region->SetCharge(nullptr);
   return owned;
 }

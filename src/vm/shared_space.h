@@ -156,8 +156,8 @@ class SharedSpace {
   // Page-granular invalidation against a snapshot's member set, used when a
   // COW break in a shared region replaces a frame and by the pager's
   // steal: every member must drop its stale translation before the new
-  // frame becomes visible (the page table entry itself is guarded by the
-  // region lock). A lockless COW break holds only that lock and an
+  // frame becomes visible (the page table entry itself is guarded by its
+  // page-table stripe). A lockless COW break holds only that lock and an
   // EpochGuard pinning `l`, and flushes BEFORE its seqcount re-check, so a
   // layout/membership change that could widen the member set forces a
   // retry rather than a missed invalidation.

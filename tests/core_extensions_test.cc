@@ -209,10 +209,12 @@ TEST(BlockGroup, MembersParkAtKernelEntryUntilUnblocked) {
   Kernel k;
   RunAsProcess(k, [&](Env& env) {
     std::atomic<u64> progress{0};
+    std::atomic<int> running{0};
     constexpr int kMembers = 2;
     for (int m = 0; m < kMembers; ++m) {
       env.Sproc(
           [&](Env& c, long) {
+            running.fetch_add(1);
             for (;;) {
               progress.fetch_add(1);
               c.Yield();  // kernel entry: the suspension point
@@ -223,25 +225,22 @@ TEST(BlockGroup, MembersParkAtKernelEntryUntilUnblocked) {
           },
           PR_SALL);
     }
-    // Let them run, then freeze the group.
-    while (progress.load() < 100) {
+    // Let both run, then freeze the group.
+    while (running.load() < kMembers || progress.load() < 100) {
       env.Yield();
     }
     EXPECT_EQ(env.Prctl(PR_BLOCKGROUP, 0), kMembers);
-    // Wait for them to actually park, then verify no progress.
-    u64 snap = progress.load();
-    u64 settled = snap;
-    for (int i = 0; i < 200; ++i) {
+    // Wait for them to actually park, then verify no progress. With 4 CPUs
+    // and 3 processes no yield hands a CPU over, so a running member gives
+    // its simulated CPU back only when it parks at kernel entry.
+    while (k.sched().FreeCpus() != k.sched().ncpus() - 1) {
       env.Yield();
-      settled = progress.load();
     }
     const u64 frozen = progress.load();
     for (int i = 0; i < 200; ++i) {
       env.Yield();
     }
     EXPECT_EQ(progress.load(), frozen);
-    (void)snap;
-    (void)settled;
     // Thaw; they must move again, then kill them off.
     EXPECT_EQ(env.Prctl(PR_UNBLKGROUP, 0), kMembers);
     const u64 resumed_from = progress.load();

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "hw/swap.h"
 #include "obs/stats.h"
 #include "sync/seqcount.h"
 #include "vm/access.h"
@@ -91,6 +92,135 @@ TEST(Region, FillAndReadBackAcrossPages) {
   ASSERT_TRUE(r->ReadBack(kPageSize / 2, out).ok());
   EXPECT_EQ(data, out);
   EXPECT_FALSE(r->FillFrom(2 * kPageSize, data).ok());  // overruns the region
+}
+
+// A swap-in and a COW break overwrite their whole new frame, so they take
+// it unzeroed (PhysMem::AllocFrameForOverwrite). Each must read back
+// exactly its own bytes from a frame that a previous owner dirtied.
+TEST(Region, WholeFrameFillersOverwriteADirtyFrame) {
+  PhysMem mem(8 * kPageSize);
+  SwapSpace swap(8);
+  mem.AttachSwap(&swap);
+  // Frees a frame full of 0xee; the next allocation takes it.
+  auto dirty_next_frame = [&] {
+    auto prev = Region::Alloc(mem, RegionType::kAnon, 1);
+    auto res = prev->Resolve(0, true, [](const PageResolution&) {});
+    std::memset(mem.FrameData(res.value().pfn), 0xee, kPageSize);
+    return res.value().pfn;
+  };
+  auto pattern = [](int mul) {
+    std::vector<std::byte> p(kPageSize);
+    for (size_t i = 0; i < p.size(); ++i) {
+      p[i] = static_cast<std::byte>(i * mul + 1);
+    }
+    return p;
+  };
+  std::vector<std::byte> out(kPageSize);
+
+  const auto swapped_bytes = pattern(7);
+  auto swapped = Region::Alloc(mem, RegionType::kAnon, 1);
+  ASSERT_TRUE(swapped->FillFrom(0, swapped_bytes).ok());
+  ASSERT_EQ(swapped->StealPages(1, [](u64) {}), 1u);
+  const pfn_t dirty = dirty_next_frame();
+  auto in = swapped->Resolve(0, false, [](const PageResolution&) {});
+  ASSERT_TRUE(in.ok());
+  ASSERT_EQ(in.value().pfn, dirty);  // the swap-in took the dirtied frame
+  ASSERT_TRUE(swapped->ReadBack(0, out).ok());
+  EXPECT_EQ(out, swapped_bytes);
+
+  const auto cow_bytes = pattern(13);
+  auto src = Region::Alloc(mem, RegionType::kAnon, 1);
+  ASSERT_TRUE(src->FillFrom(0, cow_bytes).ok());
+  auto twin = src->DupCow();
+  const pfn_t dirty_again = dirty_next_frame();
+  auto broken = twin->Resolve(0, true, [](const PageResolution&) {});
+  ASSERT_TRUE(broken.ok());
+  ASSERT_TRUE(broken.value().frame_changed);
+  ASSERT_EQ(broken.value().pfn, dirty_again);  // the COW copy took it
+  ASSERT_TRUE(twin->ReadBack(0, out).ok());
+  EXPECT_EQ(out, cow_bytes);
+}
+
+// A parked faulter: its `map` has not returned, so it holds its PTE's
+// stripe until Release().
+class ParkedFaulter {
+ public:
+  ParkedFaulter(Region& r, u64 idx)
+      : thread_([this, &r, idx] {
+          EXPECT_TRUE(r.Resolve(idx, false, [this](const PageResolution&) {
+                         parked_ = true;
+                         while (!release_) {
+                           std::this_thread::yield();
+                         }
+                       }).ok());
+        }) {
+    while (!parked_) {
+      std::this_thread::yield();
+    }
+  }
+  ~ParkedFaulter() { Release(); }
+
+  void Release() {
+    release_ = true;
+    if (thread_.joinable()) {
+      thread_.join();
+    }
+  }
+
+ private:
+  std::atomic<bool> parked_{false};
+  std::atomic<bool> release_{false};
+  std::thread thread_;  // last: starts after the flags exist
+};
+
+// A read fault on page `idx` in its own thread; `done` is set once it returns.
+struct BackgroundFault {
+  BackgroundFault(Region& r, u64 idx)
+      : thread([this, &r, idx] {
+          EXPECT_TRUE(r.Resolve(idx, false, [](const PageResolution&) {}).ok());
+          done = true;
+        }) {}
+  ~BackgroundFault() { thread.join(); }
+
+  std::atomic<bool> done{false};
+  std::thread thread;
+};
+
+// The page table is locked in stripes of Region::kRunPtes PTEs: a fault on
+// another stripe passes a parked faulter, and one on its own run waits.
+TEST(Region, FaultOnAnotherStripePassesAParkedFaulter) {
+  PhysMem mem(8 * kPageSize);
+  auto r = Region::Alloc(mem, RegionType::kAnon, Region::kRunPtes * Region::kStripes);
+  ParkedFaulter parked(*r, 0);
+  BackgroundFault other(*r, Region::kRunPtes);  // first page of the next stripe
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!other.done && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(other.done.load());
+  BackgroundFault same(*r, 1);  // page 0's run
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(same.done.load());
+  parked.Release();
+}
+
+// Resizes take every stripe, so a GrowTo waits for a faulter parked on any.
+TEST(Region, GrowWaitsForAFaulterParkedOnAnyStripe) {
+  PhysMem mem(8 * kPageSize);
+  for (const u64 stripe : {u64{0}, Region::kStripes - 1}) {
+    auto r = Region::Alloc(mem, RegionType::kAnon, Region::kRunPtes * Region::kStripes);
+    ParkedFaulter parked(*r, stripe * Region::kRunPtes);
+    std::atomic<bool> grown{false};
+    std::thread grow([&] {
+      EXPECT_TRUE(r->GrowTo(2 * r->pages()).ok());
+      grown = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(grown.load()) << "stripe " << stripe;
+    parked.Release();
+    grow.join();
+    EXPECT_TRUE(grown.load());
+  }
 }
 
 TEST(VaAllocator, UpDownAndReserve) {
