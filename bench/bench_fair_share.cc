@@ -8,11 +8,13 @@
 // its 0.25 entitlement (the acceptance bar is >= 0.8).
 //
 // The second experiment isolates the scheduler-side cost: ns per
-// acquire/release decision as the number of live groups grows. The rm walk
-// is O(depth), not O(groups), so the curve must stay flat.
+// acquire/release decision as the number of live groups grows. Each
+// decision reads one node and the machine-wide account, O(1) in the
+// number of groups, so the curve must stay flat.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -112,21 +114,18 @@ void BM_SchedOverheadVsGroups(benchmark::State& state) {
   const int groups = static_cast<int>(state.range(0));
   Scheduler sched(1);
   rm::ResourceManager m;
-  std::vector<rm::GroupNode*> nodes;
+  std::vector<std::unique_ptr<rm::GroupNode>> nodes;
   nodes.reserve(groups);
   for (int g = 0; g < groups; ++g) {
-    nodes.push_back(m.CreateNode());
+    nodes.push_back(std::make_unique<rm::GroupNode>(m));
   }
   size_t i = 0;
   for (auto _ : state) {
-    rm::GroupNode* node = nodes[i++ % nodes.size()];
+    rm::GroupNode* node = nodes[i++ % nodes.size()].get();
     const u32 cpu = sched.AcquireCpu(0, node);
     sched.ReleaseCpu(cpu, node);
   }
   state.counters["groups"] = groups;
-  for (rm::GroupNode* n : nodes) {
-    m.ReleaseNode(n);
-  }
 }
 
 BENCHMARK(BM_SchedOverheadVsGroups)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32);

@@ -84,11 +84,9 @@ std::vector<obs::GroupStatus> Kernel::SnapshotGroups() {
       rm::GroupNode* node = owned->rm_node();
       g.rm_shares = node->shares();
       g.rm_usage_ns = static_cast<u64>(node->DecayedUsage());
-      constexpr rm::Resource kRes[3] = {rm::Resource::kMembers, rm::Resource::kFiles,
-                                        rm::Resource::kPages};
-      for (int i = 0; i < 3; ++i) {
-        g.rm_cap[i] = node->cap(kRes[i]);
-        g.rm_used[i] = node->used(kRes[i]);
+      for (u32 i = 0; i < rm::kNumResources; ++i) {
+        g.rm_cap[i] = node->cap(static_cast<rm::Resource>(i));
+        g.rm_used[i] = node->used(static_cast<rm::Resource>(i));
       }
       out.push_back(std::move(g));
     }
@@ -160,14 +158,9 @@ void Kernel::TerminateProcess(Proc& p, int status, int signal) {
 
   ReleaseUArea(p);
 
-  // Leave the share group; the last member tears the block down.
   if (p.shaddr != nullptr) {
-    ShaddrBlock* b = p.shaddr;
     SG_INJECT_POINT("kernel.exit.pre_detach");
-    if (b->RemoveMember(p)) {
-      std::lock_guard<std::mutex> l(blocks_mu_);
-      blocks_.erase(b);
-    }
+    LeaveGroup(p);
     SG_INJECT_POINT("kernel.exit.post_detach");
   }
   p.as.DetachAllPrivate();
@@ -193,6 +186,14 @@ void Kernel::TerminateProcess(Proc& p, int status, int signal) {
   }
   reap_cv_.notify_all();
   p.ReleaseCpuFinal();
+}
+
+void Kernel::LeaveGroup(Proc& p) {
+  ShaddrBlock* b = p.shaddr;
+  if (b->RemoveMember(p)) {
+    std::lock_guard<std::mutex> l(blocks_mu_);
+    blocks_.erase(b);
+  }
 }
 
 void Kernel::ReleaseUArea(Proc& p) {

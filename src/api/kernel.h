@@ -192,7 +192,6 @@ class Kernel {
 
   // ----- introspection (tests, benches) -----
   Scheduler& sched() { return sched_; }
-  rm::ResourceManager& rm() { return rm_; }
   CpuSet& cpus() { return cpus_; }
   PhysMem& mem() { return mem_; }
   SwapSpace* swap() { return swap_.get(); }
@@ -232,6 +231,9 @@ class Kernel {
   void ProcMain(Proc* p);
   // Exit/kill teardown, on the process's own thread.
   void TerminateProcess(Proc& p, int status, int signal);
+  // Unlinks `p` from its share group (exit, exec, a failed sproc's child);
+  // the last member tears the block down.
+  void LeaveGroup(Proc& p);
   // Reaps `z` (already a zombie): joins its thread and frees the slot.
   WaitResult Reap(Proc* z);
 
@@ -264,8 +266,8 @@ class Kernel {
   std::unique_ptr<SwapSpace> swap_;  // null when booted without swap
   CpuSet cpus_;
   Scheduler sched_;
-  // The fair-share hierarchy. Declared before blocks_ (and thus destroyed
-  // after it): every ShaddrBlock releases its rm node at teardown.
+  // The fair-share manager. Declared before blocks_ (and thus destroyed
+  // after it): every ShaddrBlock's rm node leaves it at teardown.
   rm::ResourceManager rm_;
   Vfs vfs_;
   ProcTable procs_;

@@ -203,11 +203,7 @@ Result<pid_t> Kernel::Sproc(Proc& p, UserFn entry, u32 shmask, long arg) {
   }
   if (!st.ok()) {
     if (c->shaddr != nullptr) {
-      // RemoveMember returns the charged member slot.
-      if (block->RemoveMember(*c)) {
-        std::lock_guard<std::mutex> l(blocks_mu_);
-        blocks_.erase(block);
-      }
+      LeaveGroup(*c);  // RemoveMember returns the charged member slot
     } else {
       // The child never attached; return its admission charge ourselves.
       block->rm_node()->Uncharge(rm::Resource::kMembers, 1);
@@ -369,7 +365,7 @@ Result<i64> Kernel::Prctl(Proc& p, u32 option, i64 value) {
           value > static_cast<i64>(std::numeric_limits<u32>::max())) {
         break;
       }
-      r = static_cast<i64>(rm_.SetShares(p.shaddr->rm_node(), static_cast<u32>(value)));
+      r = static_cast<i64>(p.shaddr->rm_node()->SetShares(static_cast<u32>(value)));
       break;
     }
     case PR_SETRCAP: {
@@ -378,18 +374,17 @@ Result<i64> Kernel::Prctl(Proc& p, u32 option, i64 value) {
       if (p.shaddr == nullptr || value < 0) {
         break;
       }
-      const u32 res = PrRcapResource(value);
-      const u64 cap = PrRcapCap(value);
-      rm::GroupNode* node = p.shaddr->rm_node();
-      if (res == PR_RCAP_MEMBERS) {
-        node->SetCap(rm::Resource::kMembers, cap);
-      } else if (res == PR_RCAP_FILES) {
-        node->SetCap(rm::Resource::kFiles, cap);
-      } else if (res == PR_RCAP_PAGES) {
-        node->SetCap(rm::Resource::kPages, cap);
-      } else {
+      // The selectors are the rm::Resource values plus PR_RCAP_MEMBERS.
+      static_assert(static_cast<u32>(rm::Resource::kMembers) == 0);
+      static_assert(PR_RCAP_FILES - PR_RCAP_MEMBERS == static_cast<u32>(rm::Resource::kFiles));
+      static_assert(PR_RCAP_PAGES - PR_RCAP_MEMBERS == static_cast<u32>(rm::Resource::kPages));
+      static_assert(PR_RCAP_PAGES - PR_RCAP_MEMBERS + 1 == rm::kNumResources);
+      const u32 res = PrRcapResource(value) - PR_RCAP_MEMBERS;  // selector 0 wraps
+      if (res >= rm::kNumResources) {
         break;  // unknown resource selector
       }
+      const u64 cap = PrRcapCap(value);
+      p.shaddr->rm_node()->SetCap(static_cast<rm::Resource>(res), cap);
       r = static_cast<i64>(cap);
       break;
     }
@@ -411,12 +406,8 @@ Status Kernel::Exec(Proc& p, const Image& img, long arg) {
   // share group before overlaying the new process image, thus insuring a
   // secure environment for the new program image."
   if (p.shaddr != nullptr) {
-    ShaddrBlock* b = p.shaddr;
     SG_INJECT_POINT("kernel.exec.pre_detach");
-    if (b->RemoveMember(p)) {
-      std::lock_guard<std::mutex> l(blocks_mu_);
-      blocks_.erase(b);
-    }
+    LeaveGroup(p);
     SG_INJECT_POINT("kernel.exec.post_detach");
   }
   // Close close-on-exec descriptors (ours only; we are no longer sharing).

@@ -37,13 +37,12 @@ void Reseat(Inode*& ref, Inode* ip) {
 
 ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceManager& rm)
     : vfs_(vfs),
+      node_(rm),
       space_(cpus),
-      id_(g_next_group_id.fetch_add(1, std::memory_order_relaxed)),
-      rm_(rm),
-      node_(rm.CreateNode()) {
+      id_(g_next_group_id.fetch_add(1, std::memory_order_relaxed)) {
   // Every region that joins the group image is pointed at the group's rm
   // node so resident pages count against the group's page cap.
-  space_.set_page_charge(node_);
+  space_.set_page_charge(&node_);
   // Move the creator's sharable pregions onto the shared list (§6.2: "When
   // a process first creates a share group all of its sharable pregions are
   // moved to the list of pregions in the shared address block"). Nobody
@@ -81,11 +80,10 @@ ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceMana
     }
     ofile_.push_back(s);
   }
-  ofile_count_.store(used, std::memory_order_release);
   // Forced charges: the founder's pre-existing usage can never bounce (no
   // cap is configurable before the group exists).
-  node_->ChargeForced(rm::Resource::kFiles, static_cast<u64>(used));
-  node_->ChargeForced(rm::Resource::kMembers, 1);
+  node_.ChargeForced(rm::Resource::kFiles, static_cast<u64>(used));
+  node_.ChargeForced(rm::Resource::kMembers, 1);
   for (const SyncRow& row : kSyncTable) {
     if (row.to_master != nullptr) {
       row.to_master(creator, scalars_);
@@ -100,7 +98,7 @@ ShaddrBlock::ShaddrBlock(Proc& creator, CpuSet& cpus, Vfs& vfs, rm::ResourceMana
   plink_ = &creator;
   creator.s_plink = nullptr;
   refcnt_ = 1;
-  creator.rm_node.store(node_, std::memory_order_release);
+  creator.rm_node.store(&node_, std::memory_order_release);
   creator.shaddr = this;
   creator.p_shmask = PR_SALL;
 }
@@ -113,7 +111,6 @@ ShaddrBlock::~ShaddrBlock() {
   // are simply unaccounted.
   space_.TeardownRelease();
   space_.set_page_charge(nullptr);
-  rm_.ReleaseNode(node_);
   for (const MasterFdSlot& s : ofile_) {
     if (s.e.used()) {
       vfs_.files().Release(s.e.file);
@@ -128,7 +125,7 @@ void ShaddrBlock::AddMember(Proc& child, u32 shmask) {
   // walkers (ForEachMember, the /proc snapshots) read its mask. The rm node
   // travels with the identity: the member schedules on the group's account
   // from its first instruction. (The caller already charged kMembers.)
-  child.rm_node.store(node_, std::memory_order_release);
+  child.rm_node.store(&node_, std::memory_order_release);
   child.shaddr = this;
   child.p_shmask = shmask;
   SG_INJECT_POINT("shaddr.attach.pre_link");
@@ -149,7 +146,7 @@ bool ShaddrBlock::TryAddMember(Proc& child, u32 shmask) {
   // holds the kernel's block map lock, so the block cannot be destroyed
   // under us even when we lose the race below; undoing the identity on
   // failure touches only the caller's own fields.
-  child.rm_node.store(node_, std::memory_order_release);
+  child.rm_node.store(&node_, std::memory_order_release);
   child.shaddr = this;
   child.p_shmask = shmask;
   child.p_sync = SyncCache{};
@@ -252,7 +249,7 @@ bool ShaddrBlock::RemoveMember(Proc& p) {
   p.shaddr = nullptr;
   p.p_shmask = 0;
   p.rm_node.store(nullptr, std::memory_order_release);
-  node_->Uncharge(rm::Resource::kMembers, 1);
+  node_.Uncharge(rm::Resource::kMembers, 1);
   SG_INJECT_POINT("shaddr.detach.pre_unlink");
   bool last;
   {
@@ -414,7 +411,7 @@ void ShaddrBlock::PublishFds(Proc& p) {
   SG_INJECT_POINT("shaddr.fds.delta_publish");
   // Diff the member's table against the master and retarget only changed
   // slots. fupdsema_ single-threads every reader and writer of ofile_; the
-  // /proc snapshot reads the atomic ofile_count_ instead of walking us.
+  // /proc snapshot reads node_'s kFiles count instead of walking us.
   const u64 stamp = gen_[kResFds].load(std::memory_order_relaxed) + 1;
   u64 changed = 0;
   int used_delta = 0;
@@ -440,17 +437,14 @@ void ShaddrBlock::PublishFds(Proc& p) {
   if (changed == 0) {
     return;
   }
-  if (used_delta != 0) {
-    ofile_count_.fetch_add(used_delta, std::memory_order_acq_rel);
-    // kFiles tracks the master table exactly, and only from inside this
-    // single-threaded bracket. Forced: the cap was already enforced as a
-    // headroom check at the syscall seam (kernel_fs.cc), so the publish
-    // itself must never bounce.
-    if (used_delta > 0) {
-      node_->ChargeForced(rm::Resource::kFiles, static_cast<u64>(used_delta));
-    } else {
-      node_->Uncharge(rm::Resource::kFiles, static_cast<u64>(-used_delta));
-    }
+  // kFiles tracks the master table exactly, and only from inside this
+  // single-threaded bracket. Forced: the cap was already enforced as a
+  // headroom check at the syscall seam (kernel_fs.cc), so the publish
+  // itself must never bounce.
+  if (used_delta > 0) {
+    node_.ChargeForced(rm::Resource::kFiles, static_cast<u64>(used_delta));
+  } else if (used_delta < 0) {
+    node_.Uncharge(rm::Resource::kFiles, static_cast<u64>(-used_delta));
   }
   Bump(p, kResFds);  // stores `stamp`
   SG_OBS_ADD("core.fds.delta_published_slots", changed);

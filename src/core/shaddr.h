@@ -100,17 +100,17 @@ class ShaddrBlock {
   u64 id() const { return id_; }
 
   // ----- fair-share resource manager (src/rm/) -----
-  // The group's rm node: CPU shares + decayed usage + capacity caps. Owned
-  // by the manager; created in the constructor, released in the destructor,
-  // so it outlives every reference a member can publish (members clear
-  // their Proc::rm_node in RemoveMember, strictly before teardown).
+  // The group's rm node: CPU shares + decayed usage + capacity caps. A
+  // member of the block, declared before space_ so it outlives the image
+  // regions it charges, and every reference a member can publish (members
+  // clear their Proc::rm_node in RemoveMember, strictly before teardown).
   //
   // Accounting contract: the ADMISSION seams charge kMembers (sproc /
   // PR_JOINGROUP, before the member attaches) and RemoveMember uncharges;
   // kFiles moves only with the master fd table (constructor seed,
   // PublishFds deltas); kPages moves with page-table validity transitions
   // via the regions' PageCharge hookup.
-  rm::GroupNode* rm_node() const { return node_; }
+  rm::GroupNode* rm_node() { return &node_; }
 
   // ----- member chain (s_plink/s_refcnt/s_listlock) -----
   // Links `child` with its (already strict-inheritance-masked) share mask.
@@ -254,10 +254,10 @@ class ShaddrBlock {
 
   // Test/diagnostic accessors for the master copies.
   Scalars scalars() const;
-  // Used descriptors in the master table. Maintained incrementally at
-  // publish so the /proc/share snapshot is one atomic load, not a
-  // kMaxFds walk under a lock.
-  int OfileCount() const { return ofile_count_.load(std::memory_order_acquire); }
+  // Used descriptors in the master table: the rm node's kFiles count, which
+  // moves with every publish, so the /proc/share snapshot is one atomic
+  // load, not a kMaxFds walk under a lock.
+  int OfileCount() const { return static_cast<int>(node_.used(rm::Resource::kFiles)); }
 
  private:
   // Publishes an update of `r` whose master copy the caller just wrote
@@ -275,10 +275,9 @@ class ShaddrBlock {
   void DeferRelease(OpenFile* f) SG_REQUIRES(fupdsema_);
 
   Vfs& vfs_;
+  rm::GroupNode node_;  // this group's fair-share account
   SharedSpace space_;
   const u64 id_;  // assigned at creation, never reused
-  rm::ResourceManager& rm_;
-  rm::GroupNode* const node_;  // this group's fair-share account
 
   mutable Spinlock listlock_{"shaddr.listlock"};    // s_listlock
   Proc* plink_ SG_GUARDED_BY(listlock_) = nullptr;  // s_plink
@@ -287,9 +286,8 @@ class ShaddrBlock {
   Spinlock fupdsema_{"shaddr.fupdsema"};  // s_fupdsema
   // s_ofile + s_pofile: the master descriptor table, generation-stamped
   // per slot. Touched only inside the fupdsema_ bracket; the /proc
-  // snapshot reads the incremental ofile_count_ instead of walking it.
+  // snapshot reads node_'s kFiles count instead of walking it.
   std::vector<MasterFdSlot> ofile_ SG_GUARDED_BY(fupdsema_);
-  std::atomic<int> ofile_count_{0};
   // References displaced inside the bracket, awaiting UnlockFileUpdate. A
   // bracket holds one pull and one publish, each displacing at most one
   // reference per slot, so the list never allocates.

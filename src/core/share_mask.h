@@ -66,8 +66,8 @@ inline constexpr u32 PR_JOINGROUP = 20;
 
 // ---- Fair-share resource manager extensions (src/rm/) ----
 
-// prctl(PR_SETSHARES, shares): sets the caller's group's CPU shares weight
-// in the resource-manager hierarchy (0 is clamped to 1). Returns the
+// prctl(PR_SETSHARES, shares): sets the caller's group's CPU shares weight,
+// its part of the live groups' total (0 is clamped to 1). Returns the
 // shares now in effect. kEINVAL outside a group.
 inline constexpr u32 PR_SETSHARES = 21;
 

@@ -89,7 +89,7 @@ void Inode::Truncate() {
 
 Result<Inode*> Inode::Lookup(const std::string& name) const {
   std::lock_guard<std::mutex> l(mu_);
-  Inode* found = parent_;
+  Inode* found = dotdot_;
   if (name != "..") {
     auto it = entries_.find(name);
     found = it == entries_.end() ? nullptr : it->second;
@@ -102,7 +102,7 @@ Result<Inode*> Inode::Lookup(const std::string& name) const {
 
 Status Inode::AddEntry(const std::string& name, Inode* child) {
   std::lock_guard<std::mutex> l(mu_);
-  if (parent_ == nullptr) {
+  if (dotdot_ == nullptr) {
     return Errno::kENOENT;
   }
   if (!entries_.emplace(name, child).second) {
@@ -111,7 +111,7 @@ Status Inode::AddEntry(const std::string& name, Inode* child) {
   child->count_.fetch_add(kLink, std::memory_order_relaxed);
   if (child->type_ == InodeType::kDirectory) {
     std::lock_guard<std::mutex> cl(child->mu_);
-    child->parent_ = this;
+    child->dotdot_ = this;
   }
   return Status::Ok();
 }
@@ -131,7 +131,7 @@ Status Inode::RemoveEntry(const std::string& name, bool dir) {
     if (!child->entries_.empty()) {
       return Errno::kENOTEMPTY;
     }
-    child->parent_ = nullptr;
+    child->dotdot_ = nullptr;
   }
   entries_.erase(it);
   Drop(child, kLink);  // open references keep the data alive until closed

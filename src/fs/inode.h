@@ -144,7 +144,7 @@ class Inode {
   gid_t gid_;
   std::vector<std::byte> data_;              // kRegular
   std::map<std::string, Inode*> entries_;    // kDirectory
-  Inode* parent_ = nullptr;                  // kDirectory: ".."; null out of the tree
+  Inode* dotdot_ = nullptr;                  // kDirectory: ".."; null out of the tree
   std::unique_ptr<Pipe> pipe_;               // kPipe
   std::function<std::string()> gen_;         // synthetic kRegular (no mu_)
   std::function<void()> refresh_;            // synthetic kDirectory (no mu_)

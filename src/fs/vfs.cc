@@ -37,7 +37,7 @@ Vfs::Vfs(u32 max_inodes, u32 max_files) : inodes_(max_inodes), files_(max_files)
   auto r = inodes_.Alloc(InodeType::kDirectory, 0755, 0, 0);
   SG_CHECK(r.ok());
   root_ = r.value();
-  root_->parent_ = root_;  // ".." at the root stays at the root
+  root_->dotdot_ = root_;  // ".." at the root stays at the root
   root_->count_.fetch_add(Inode::kLink, std::memory_order_relaxed);  // the root is always linked
 }
 

@@ -11,12 +11,12 @@
 //
 // Fair share (src/rm/): callers that belong to a share group pass their
 // group's rm node. Held CPU time is charged to the node on every release,
-// and the node turns the caller's base priority into an *effective*
-// priority at every acquire — an over-consuming group sinks below its
-// entitled peers and self-throttles. The scheduler itself stores no node
-// pointers (only per-CPU grant timestamps), so group teardown never races
-// a dangling reference here: the owning Proc clears its node before the
-// node dies, and a null node degrades to the plain priority path.
+// and the node bends the caller's base priority into an *effective* one at
+// every acquire, in O(1): an over-consuming group sinks below its entitled
+// peers and self-throttles. The scheduler stores no node pointers (only
+// per-CPU grant timestamps), so group teardown never races a dangling
+// reference here: a member clears its node before leaving the share block
+// the node lives in, and a null node degrades to the plain priority path.
 #ifndef SRC_PROC_SCHEDULER_H_
 #define SRC_PROC_SCHEDULER_H_
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <string>
 
 #include "base/check.h"
 #include "obs/stats.h"
@@ -19,20 +18,55 @@ u64 NowNs() {
                               .count());
 }
 
-// The per-level adjustment can pile up in a deep tree; clamp the total so
-// fair-share can reorder tenants but never swamp an explicit PR_SETGROUPPRI
-// gulf of hundreds of points.
-constexpr int kMaxAdjust = 4 * kPriorityGain;
-
 }  // namespace
 
-const char* ResourceName(Resource r) {
-  switch (r) {
-    case Resource::kMembers: return "members";
-    case Resource::kFiles: return "files";
-    case Resource::kPages: return "pages";
+// ----- CpuAccount -----
+
+void CpuAccount::DecayLocked(u64 now_ns) const {
+  if (now_ns <= last_decay_ns_) {
+    return;
   }
-  return "?";
+  const double halflives =
+      static_cast<double>(now_ns - last_decay_ns_) / static_cast<double>(kDecayHalfLifeNs);
+  usage_ns_ *= std::exp2(-halflives);
+  last_decay_ns_ = now_ns;
+}
+
+void CpuAccount::Charge(u64 ns, u64 now_ns) {
+  SpinGuard g(lock_);
+  DecayLocked(now_ns);
+  usage_ns_ += static_cast<double>(ns);
+}
+
+double CpuAccount::UsageAt(u64 now_ns) const {
+  SpinGuard g(lock_);
+  DecayLocked(now_ns);
+  return usage_ns_;
+}
+
+// ----- GroupNode: membership of the manager -----
+
+GroupNode::GroupNode(ResourceManager& rm, u32 shares)
+    : rm_(rm), shares_(std::max<u32>(shares, 1)) {
+  rm_.shares_.fetch_add(this->shares(), std::memory_order_relaxed);
+  SG_OBS_INC("rm.nodes.created");
+  static obs::Gauge& live = obs::Stats::Global().gauge("rm.groups.live");
+  live.Add(1);
+}
+
+GroupNode::~GroupNode() {
+  rm_.shares_.fetch_sub(shares(), std::memory_order_relaxed);
+  SG_OBS_INC("rm.nodes.released");
+  static obs::Gauge& live = obs::Stats::Global().gauge("rm.groups.live");
+  live.Add(-1);
+}
+
+u32 GroupNode::SetShares(u32 shares) {
+  shares = std::max<u32>(shares, 1);
+  const u32 old = shares_.exchange(shares, std::memory_order_relaxed);
+  rm_.shares_.fetch_add(static_cast<i64>(shares) - static_cast<i64>(old),
+                        std::memory_order_relaxed);
+  return shares;
 }
 
 // ----- GroupNode: caps -----
@@ -43,10 +77,13 @@ bool GroupNode::TryCharge(Resource r, u64 n) {
   for (;;) {
     const u64 cap = cap_[i].load(std::memory_order_relaxed);
     if (cap != 0 && cur + n > cap) {
-      // Denials are the interesting (rare) path; name lookup here is fine.
-      obs::Stats::Global()
-          .counter(std::string("rm.cap.denied.") + ResourceName(r))
-          .Inc();
+      // Looked up once, in Resource order: a page-cap denial runs on the
+      // fault path.
+      static obs::Counter* const denied[kNumResources] = {
+          &obs::Stats::Global().counter("rm.cap.denied.members"),
+          &obs::Stats::Global().counter("rm.cap.denied.files"),
+          &obs::Stats::Global().counter("rm.cap.denied.pages")};
+      denied[i]->Inc();
       return false;
     }
     if (used_[i].compare_exchange_weak(cur, cur + n, std::memory_order_relaxed)) {
@@ -64,107 +101,33 @@ void GroupNode::Uncharge(Resource r, u64 n) {
 
 // ----- GroupNode: decayed CPU usage -----
 
-void GroupNode::DecayLocked(u64 now_ns) const {
-  if (now_ns <= last_decay_ns_) {
-    return;
-  }
-  const double halflives =
-      static_cast<double>(now_ns - last_decay_ns_) / static_cast<double>(kDecayHalfLifeNs);
-  usage_ns_ *= std::exp2(-halflives);
-  last_decay_ns_ = now_ns;
-}
-
 void GroupNode::ChargeCpu(u64 ns) { ChargeCpuAt(ns, NowNs()); }
 
 void GroupNode::ChargeCpuAt(u64 ns, u64 now_ns) {
   SG_OBS_ADD("rm.cpu.charged_ns", ns);
   charged_total_ns_.fetch_add(ns, std::memory_order_relaxed);
-  for (GroupNode* n = this; n != nullptr; n = n->parent_) {
-    SpinGuard g(n->lock_);
-    n->DecayLocked(now_ns);
-    n->usage_ns_ += static_cast<double>(ns);
-  }
+  cpu_.Charge(ns, now_ns);
+  rm_.cpu_.Charge(ns, now_ns);
 }
 
 double GroupNode::DecayedUsage() const { return DecayedUsageAt(NowNs()); }
 
-double GroupNode::DecayedUsageAt(u64 now_ns) const {
-  SpinGuard g(lock_);
-  DecayLocked(now_ns);
-  return usage_ns_;
-}
-
 int GroupNode::EffectivePriority(int base) const { return EffectivePriorityAt(base, NowNs()); }
 
 int GroupNode::EffectivePriorityAt(int base, u64 now_ns) const {
-  double adj = 0.0;
-  for (const GroupNode* n = this; n->parent_ != nullptr; n = n->parent_) {
-    const GroupNode* p = n->parent_;
-    const double denom =
-        static_cast<double>(std::max<i64>(1, p->child_shares_.load(std::memory_order_relaxed)));
-    const double entitled = static_cast<double>(n->shares()) / denom;
-    const double total = p->DecayedUsageAt(now_ns);
-    // With (almost) nothing consumed at this level there is nothing to
-    // arbitrate: treat consumption as exactly the entitlement (zero term).
-    // This also keeps a lone tenant's priority identical to the ungrouped
-    // case, whatever its shares.
-    const double consumed = total >= 1.0 ? n->DecayedUsageAt(now_ns) / total : entitled;
-    adj += static_cast<double>(kPriorityGain) * (entitled - consumed);
-  }
-  const int bounded = static_cast<int>(std::max(-static_cast<double>(kMaxAdjust),
-                                                std::min(static_cast<double>(kMaxAdjust), adj)));
-  return base + bounded;
-}
-
-// ----- ResourceManager -----
-
-ResourceManager::ResourceManager() : root_(new GroupNode(nullptr)) {}
-
-ResourceManager::~ResourceManager() = default;
-
-GroupNode* ResourceManager::CreateNode(GroupNode* parent, u32 shares) {
-  if (parent == nullptr) {
-    parent = root_.get();
-  }
-  if (shares == 0) {
-    shares = 1;
-  }
-  auto node = std::unique_ptr<GroupNode>(new GroupNode(parent));
-  node->shares_.store(shares, std::memory_order_relaxed);
-  parent->child_shares_.fetch_add(shares, std::memory_order_relaxed);
-  GroupNode* raw = node.get();
-  {
-    MutexGuard g(mu_);
-    nodes_.emplace(raw, std::move(node));
-  }
-  SG_OBS_INC("rm.nodes.created");
-  static obs::Gauge& live = obs::Stats::Global().gauge("rm.groups.live");
-  live.Add(1);
-  return raw;
-}
-
-void ResourceManager::ReleaseNode(GroupNode* node) {
-  SG_CHECK(node != nullptr && node != root_.get());
-  node->parent_->child_shares_.fetch_sub(node->shares(), std::memory_order_relaxed);
-  {
-    MutexGuard g(mu_);
-    const auto erased = nodes_.erase(node);
-    SG_CHECK(erased == 1);
-  }
-  SG_OBS_INC("rm.nodes.released");
-  static obs::Gauge& live = obs::Stats::Global().gauge("rm.groups.live");
-  live.Add(-1);
-}
-
-u32 ResourceManager::SetShares(GroupNode* node, u32 shares) {
-  SG_CHECK(node != nullptr && node != root_.get());
-  if (shares == 0) {
-    shares = 1;
-  }
-  const u32 old = node->shares_.exchange(shares, std::memory_order_relaxed);
-  node->parent_->child_shares_.fetch_add(static_cast<i64>(shares) - static_cast<i64>(old),
-                                         std::memory_order_relaxed);
-  return shares;
+  const double total_shares =
+      static_cast<double>(std::max<i64>(1, rm_.shares_.load(std::memory_order_relaxed)));
+  const double total_usage = rm_.cpu_.UsageAt(now_ns);
+  // A snapshot beside a racing SetShares or charge can read a part above
+  // its whole; capping both fractions at 1 keeps the bend within the gain.
+  const double entitled = std::min(1.0, static_cast<double>(shares()) / total_shares);
+  // With (almost) nothing consumed on the machine there is nothing to
+  // arbitrate: treat consumption as exactly the entitlement (zero term).
+  // This also keeps a lone tenant's priority identical to the ungrouped
+  // case, whatever its shares.
+  const double consumed =
+      total_usage >= 1.0 ? std::min(1.0, cpu_.UsageAt(now_ns) / total_usage) : entitled;
+  return base + static_cast<int>(static_cast<double>(kPriorityGain) * (entitled - consumed));
 }
 
 }  // namespace rm

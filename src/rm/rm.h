@@ -1,28 +1,29 @@
-// rm — hierarchical fair-share resource manager over share groups.
+// rm — fair-share resource manager over share groups.
 //
 // The paper's share groups (§4–§6) supply the sharing primitive but nothing
 // arbitrates *between* groups: every member competes in one flat scheduler
 // queue and PR_SETGROUPPRI is just a gang-wide nice value. This layer adds
 // the arbitration in the style of Gunther's UNIX resource managers and the
-// Solaris SRM `lnode` tree:
+// Solaris SRM `lnode` tree, flattened to the one level share groups form:
 //
-//   * Every share group owns a GroupNode in a tree rooted at the manager's
-//     root node. A node carries a CPU `shares` weight and an exponentially
-//     decayed CPU-usage account (half-life kDecayHalfLifeNs). The scheduler
-//     charges consumed CPU time to the running process's node (which
-//     propagates up the ancestry) and asks the node for an *effective*
-//     priority: base priority plus, per tree level, a term proportional to
-//     (entitled fraction − consumed fraction). A group burning more than
-//     its shares entitle it decays toward lower priority and self-throttles;
-//     an idle group's usage decays away and its priority recovers. The walk
-//     is O(depth), independent of the number of sibling groups.
+//   * Every share group owns a GroupNode, a member of its ShaddrBlock. A
+//     node carries a CPU `shares` weight and an exponentially decayed
+//     CPU-usage account (half-life kDecayHalfLifeNs). The scheduler charges
+//     consumed CPU time to the running process's node and to the manager's
+//     machine-wide account, and asks the node for an *effective* priority:
+//     base priority plus a term proportional to (entitled fraction −
+//     consumed fraction), the node's shares over the live total against its
+//     usage over the machine's. A group burning more than its shares entitle
+//     it decays toward lower priority and self-throttles; an idle group's
+//     usage decays away and its priority recovers. Each decision is O(1),
+//     independent of the number of groups.
 //
 //   * A node also carries hard capacity caps — member count, open files in
 //     the shared fd table, resident pages of the shared VM image — enforced
 //     by TryCharge/Uncharge pairs at the existing admission chokepoints
 //     (sproc/attach, fd publish, page-fault frame allocation). A cap of 0
 //     means unlimited. Charging is lock-free (CAS); only the decayed-usage
-//     account takes the node's spinlock.
+//     accounts take a spinlock.
 //
 // A process outside any share group passes a null node everywhere and is
 // scheduled exactly as before; a lone group at default shares gets a zero
@@ -32,10 +33,7 @@
 #define SRC_RM_RM_H_
 
 #include <atomic>
-#include <map>
-#include <memory>
 
-#include "base/mutex.h"
 #include "base/thread_annotations.h"
 #include "base/types.h"
 #include "sync/spinlock.h"
@@ -54,27 +52,66 @@ enum class Resource : u32 {
 };
 inline constexpr u32 kNumResources = 3;
 
-const char* ResourceName(Resource r);
-
 inline constexpr u32 kDefaultShares = 100;
 
 // Decay half-life of the CPU-usage account: usage halves every 50
 // simulated-CPU milliseconds it is left alone.
 inline constexpr u64 kDecayHalfLifeNs = 50'000'000;
 
-// Priority points awarded per tree level per unit of (entitled − consumed)
-// fraction. With the scheduler's strict priority queue, ±kPriorityGain/4 is
-// already enough to reorder a saturated tenant behind a starved one.
+// Priority points per unit of (entitled − consumed) fraction. Both fractions
+// lie in [0, 1], so the bend stays within ±kPriorityGain; with the
+// scheduler's strict priority queue, ±kPriorityGain/4 is already enough to
+// reorder a saturated tenant behind a starved one.
 inline constexpr int kPriorityGain = 64;
 
-class ResourceManager;
+// An exponentially decayed CPU-usage account. Charged on every CPU release,
+// read on every acquire: a spinlock keeps decay-then-add atomic.
+class CpuAccount {
+ public:
+  void Charge(u64 ns, u64 now_ns);
+  double UsageAt(u64 now_ns) const;
 
-// One node of the share tree. Created/destroyed only through the
-// ResourceManager; all other operations are safe from any thread.
+ private:
+  // Decays usage_ns_ to `now_ns` (only the mutable account moves, so the
+  // const reader may call it).
+  void DecayLocked(u64 now_ns) const SG_REQUIRES(lock_);
+
+  mutable Spinlock lock_{"rm.node"};
+  mutable double usage_ns_ SG_GUARDED_BY(lock_) = 0.0;
+  mutable u64 last_decay_ns_ SG_GUARDED_BY(lock_) = 0;
+};
+
+// The machine-wide side of the arbitration, one per Kernel: the sum of the
+// live groups' shares (every entitlement's denominator) and the decayed CPU
+// usage of all of them (every consumption's denominator). It must outlive
+// every node that joined it.
+class ResourceManager {
+ public:
+  ResourceManager() = default;
+  ResourceManager(const ResourceManager&) = delete;
+  ResourceManager& operator=(const ResourceManager&) = delete;
+
+ private:
+  friend class GroupNode;
+  // Signed so a racing set-shares never wraps.
+  std::atomic<i64> shares_{0};
+  CpuAccount cpu_;
+};
+
+// One share group's account. Its owner (the group's ShaddrBlock) constructs
+// and destroys it; all other operations are safe from any thread.
 class GroupNode final : public PageCharge {
  public:
-  GroupNode* parent() const { return parent_; }
+  // Joins `rm` with `shares` (0 is clamped to 1); the destructor leaves it.
+  explicit GroupNode(ResourceManager& rm, u32 shares = kDefaultShares);
+  ~GroupNode() override;
+  GroupNode(const GroupNode&) = delete;
+  GroupNode& operator=(const GroupNode&) = delete;
+
   u32 shares() const { return shares_.load(std::memory_order_relaxed); }
+  // Re-weights the node. Returns the shares now in effect (0 is clamped to
+  // 1: a zero total would leave every entitlement undefined).
+  u32 SetShares(u32 shares);
 
   // ----- capacity caps -----
 
@@ -104,83 +141,34 @@ class GroupNode final : public PageCharge {
 
   // ----- decayed CPU usage / effective priority -----
 
-  // Charges `ns` of consumed CPU to this node and every ancestor.
+  // Charges `ns` of consumed CPU to this node and to the machine.
   void ChargeCpu(u64 ns);
   void ChargeCpuAt(u64 ns, u64 now_ns);  // test/bench hook: injected clock
 
-  // Lifetime total charged to THIS node (no decay, no ancestor rollup):
-  // the delivered-CPU measure the fairness experiments score against.
+  // Lifetime total charged to this node (no decay): the delivered-CPU
+  // measure the fairness experiments score against.
   u64 charged_total_ns() const {
     return charged_total_ns_.load(std::memory_order_relaxed);
   }
 
   // This node's decayed usage account, in ns.
   double DecayedUsage() const;
-  double DecayedUsageAt(u64 now_ns) const;
+  double DecayedUsageAt(u64 now_ns) const { return cpu_.UsageAt(now_ns); }
 
-  // Base priority adjusted by the fair-share terms of every tree level.
+  // Base priority adjusted by the fair-share term.
   int EffectivePriority(int base) const;
   int EffectivePriorityAt(int base, u64 now_ns) const;
 
  private:
-  friend class ResourceManager;
-  explicit GroupNode(GroupNode* parent) : parent_(parent) {}
-
   static constexpr u32 Idx(Resource r) { return static_cast<u32>(r); }
 
-  // Decays usage_ns_ to `now_ns` (caller holds lock_; only the mutable
-  // account moves, so callable from the const readers).
-  void DecayLocked(u64 now_ns) const SG_REQUIRES(lock_);
-
-  GroupNode* const parent_;
-  std::atomic<u32> shares_{kDefaultShares};
-  // Sum of the *children's* shares — the denominator of each child's
-  // entitled fraction. Signed so a racing set-shares never wraps.
-  std::atomic<i64> child_shares_{0};
+  ResourceManager& rm_;
+  std::atomic<u32> shares_;
 
   std::atomic<u64> cap_[kNumResources] = {};   // 0 = unlimited
   std::atomic<u64> used_[kNumResources] = {};
   std::atomic<u64> charged_total_ns_{0};
-
-  // The decayed-usage account. Charged on every CPU release, read on every
-  // acquire — a spinlock-guarded pair keeps decay-then-add atomic.
-  mutable Spinlock lock_{"rm.node"};
-  mutable double usage_ns_ SG_GUARDED_BY(lock_) = 0.0;
-  mutable u64 last_decay_ns_ SG_GUARDED_BY(lock_) = 0;
-};
-
-// Owns the node tree. One instance per Kernel; share-group creation and
-// teardown call CreateNode/ReleaseNode, everything else talks to the nodes
-// directly.
-class ResourceManager {
- public:
-  ResourceManager();
-  ~ResourceManager();
-  ResourceManager(const ResourceManager&) = delete;
-  ResourceManager& operator=(const ResourceManager&) = delete;
-
-  GroupNode& root() { return *root_; }
-
-  // Creates a node under `parent` (the root when null) with `shares`.
-  GroupNode* CreateNode(GroupNode* parent = nullptr, u32 shares = kDefaultShares);
-
-  // Destroys `node`, returning its shares to the parent's denominator. The
-  // caller guarantees nothing references the node anymore (the scheduler
-  // never stores node pointers, so clearing the owning Proc/ShaddrBlock
-  // reference first is sufficient).
-  void ReleaseNode(GroupNode* node);
-
-  // Re-weights `node` and fixes up the parent's denominator. Returns the
-  // shares now in effect (shares of 0 are clamped to 1: a zero denominator
-  // would make every sibling's entitlement undefined).
-  u32 SetShares(GroupNode* node, u32 shares);
-
- private:
-  // sgcheck:allow(guarded-fields): allocated in the constructor and never
-  // reseated; the nodes it reaches synchronize themselves (per-node lock_)
-  std::unique_ptr<GroupNode> root_;
-  Mutex mu_;
-  std::map<GroupNode*, std::unique_ptr<GroupNode>> nodes_ SG_GUARDED_BY(mu_);
+  CpuAccount cpu_;
 };
 
 }  // namespace rm

@@ -1,11 +1,13 @@
-// Fair-share resource manager (src/rm/): hierarchy weights and decayed
-// usage at the node level, then the kernel-visible contract — PR_SETSHARES /
-// PR_SETRCAP, cap breaches surfacing as EAGAIN/ENOMEM at the existing
-// admission chokepoints, capacity returning when members/fds/pages go away,
-// and the /proc/share/<gid> rm.* lines.
+// Fair-share resource manager (src/rm/): share weights and decayed usage
+// at the node level, against one manager's live total and machine-wide
+// account, then the kernel-visible contract — PR_SETSHARES / PR_SETRCAP,
+// cap breaches surfacing as EAGAIN/ENOMEM at the existing admission
+// chokepoints, capacity returning when members/fds/pages go away, and the
+// /proc/share/<gid> rm.* lines.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 
 #include "api/kernel.h"
@@ -21,8 +23,8 @@ namespace {
 
 TEST(RmUnit, HierarchyWeightsBiasPriority) {
   rm::ResourceManager m;
-  rm::GroupNode* heavy = m.CreateNode(nullptr, 300);
-  rm::GroupNode* light = m.CreateNode(nullptr, 100);
+  auto heavy = std::make_unique<rm::GroupNode>(m, 300);
+  auto light = std::make_unique<rm::GroupNode>(m, 100);
   // Equal consumption, unequal entitlement: the heavy-shares tenant has
   // consumed less than its entitlement and must come out ahead.
   const u64 t0 = 1'000'000;
@@ -35,25 +37,22 @@ TEST(RmUnit, HierarchyWeightsBiasPriority) {
   // consumed 1/2 -> negative.
   EXPECT_GT(ph, 0);
   EXPECT_LT(pl, 0);
-  m.ReleaseNode(heavy);
-  m.ReleaseNode(light);
 }
 
 TEST(RmUnit, LoneGroupGetsZeroAdjustment) {
   rm::ResourceManager m;
-  rm::GroupNode* only = m.CreateNode(nullptr, 7);  // any weight
+  auto only = std::make_unique<rm::GroupNode>(m, 7);  // any weight
   const u64 t0 = 1'000'000;
   only->ChargeCpuAt(50'000'000, t0);
   // Sole tenant: consumed == total, entitlement ratio 1 — no adjustment,
   // whatever the shares value. Single-tenant workloads are unaffected.
   EXPECT_EQ(only->EffectivePriorityAt(5, t0), 5);
-  m.ReleaseNode(only);
 }
 
 TEST(RmUnit, UsageDecaysAndPrioritiesReconverge) {
   rm::ResourceManager m;
-  rm::GroupNode* a = m.CreateNode();
-  rm::GroupNode* b = m.CreateNode();
+  auto a = std::make_unique<rm::GroupNode>(m);
+  auto b = std::make_unique<rm::GroupNode>(m);
   const u64 t0 = 1'000'000;
   a->ChargeCpuAt(100'000'000, t0);  // a burned 100ms, b idle
   EXPECT_LT(a->EffectivePriorityAt(0, t0), b->EffectivePriorityAt(0, t0));
@@ -66,13 +65,31 @@ TEST(RmUnit, UsageDecaysAndPrioritiesReconverge) {
   const u64 later = t0 + 60 * rm::kDecayHalfLifeNs;
   EXPECT_EQ(a->EffectivePriorityAt(0, later), 0);
   EXPECT_EQ(b->EffectivePriorityAt(0, later), 0);
-  m.ReleaseNode(a);
-  m.ReleaseNode(b);
+}
+
+// The live total of shares moves with SetShares and with node lifetimes:
+// re-weighting one of two equal tenants bends it above the other, and once
+// the other is gone the survivor holds every share and every nanosecond.
+TEST(RmUnit, SetSharesAndNodeLifetimeMoveTheTotal) {
+  rm::ResourceManager m;
+  rm::GroupNode a(m);
+  auto b = std::make_unique<rm::GroupNode>(m);
+  const u64 t0 = 1'000'000;
+  a.ChargeCpuAt(10'000'000, t0);
+  b->ChargeCpuAt(10'000'000, t0);
+  EXPECT_EQ(a.EffectivePriorityAt(0, t0), b->EffectivePriorityAt(0, t0));
+  EXPECT_EQ(a.SetShares(300), 300u);
+  EXPECT_GT(a.EffectivePriorityAt(0, t0), b->EffectivePriorityAt(0, t0));
+  b.reset();
+  // a alone now: entitled 300/300, and the machine's usage is a's own.
+  const u64 t1 = t0 + 60 * rm::kDecayHalfLifeNs;
+  a.ChargeCpuAt(10'000'000, t1);
+  EXPECT_EQ(a.EffectivePriorityAt(0, t1), 0);
 }
 
 TEST(RmUnit, CapChargeUnchargeExact) {
   rm::ResourceManager m;
-  rm::GroupNode* n = m.CreateNode();
+  auto n = std::make_unique<rm::GroupNode>(m);
   // Cap 0 = unlimited.
   EXPECT_TRUE(n->TryCharge(rm::Resource::kFiles, 1000));
   n->Uncharge(rm::Resource::kFiles, 1000);
@@ -85,7 +102,6 @@ TEST(RmUnit, CapChargeUnchargeExact) {
   EXPECT_TRUE(n->TryCharge(rm::Resource::kFiles, 1));
   EXPECT_EQ(n->used(rm::Resource::kFiles), 3u);
   n->Uncharge(rm::Resource::kFiles, 3);
-  m.ReleaseNode(n);
 }
 
 // ----- kernel-level integration -----
@@ -327,8 +343,11 @@ TEST(RmApi, PrctlReturnConvention) {
     EXPECT_EQ(env.Prctl(PR_SETRCAP, PrRcapArg(PR_RCAP_PAGES, 99)), 99);
     EXPECT_EQ(env.proc().shaddr->rm_node()->cap(rm::Resource::kPages), 99u);
     EXPECT_EQ(env.Prctl(PR_SETRCAP, PrRcapArg(PR_RCAP_PAGES, 0)), 0);  // unlimited
-    // Unknown resource selector and negative packings are EINVAL.
+    // Unknown resource selectors, either side of the known ones, and
+    // negative packings are EINVAL.
     EXPECT_LT(env.Prctl(PR_SETRCAP, PrRcapArg(9, 4)), 0);
+    EXPECT_EQ(env.LastError(), Errno::kEINVAL);
+    EXPECT_LT(env.Prctl(PR_SETRCAP, PrRcapArg(0, 4)), 0);
     EXPECT_EQ(env.LastError(), Errno::kEINVAL);
     EXPECT_LT(env.Prctl(PR_SETRCAP, -1), 0);
     EXPECT_EQ(env.LastError(), Errno::kEINVAL);
@@ -350,6 +369,8 @@ TEST(RmApi, ProcShareShowsRmLines) {
         PR_SALL);
     ASSERT_EQ(env.Prctl(PR_SETSHARES, 300), 300);
     ASSERT_EQ(env.Prctl(PR_SETRCAP, PrRcapArg(PR_RCAP_MEMBERS, 5)), 5);
+    const int file = env.Open("/rm-ofile", kOpenWrite | kOpenCreat);
+    ASSERT_GE(file, 0);
     const std::string path = "/proc/share/" + std::to_string(env.proc().shaddr->id());
     const int fd = env.Open(path, kOpenRead);
     ASSERT_GE(fd, 0);
@@ -362,7 +383,14 @@ TEST(RmApi, ProcShareShowsRmLines) {
       }
       text.append(reinterpret_cast<const char*>(buf), static_cast<size_t>(n));
     }
+    // The group's open files are counted once, by its rm node: the ofiles
+    // line and rm.used.files both show that count, the two opens included.
+    const u64 files = env.proc().shaddr->rm_node()->used(rm::Resource::kFiles);
+    EXPECT_GE(files, 2u);
+    EXPECT_NE(text.find("ofiles " + std::to_string(files) + "\n"), std::string::npos) << text;
+    EXPECT_NE(text.find("rm.used.files " + std::to_string(files) + "\n"), std::string::npos);
     env.Close(fd);
+    env.Close(file);
     EXPECT_NE(text.find("rm.shares 300\n"), std::string::npos) << text;
     EXPECT_NE(text.find("rm.usage_ns "), std::string::npos);
     EXPECT_NE(text.find("rm.cap.members 5\n"), std::string::npos);

@@ -164,8 +164,8 @@ TEST(Pager, StealSkipsRegionAForkChildAlsoMaps) {
 // A fault resolves and inserts its translation under the region lock, and
 // a steal flushes and copies out under it. So a steal racing a fault lands
 // after the insert, and its flush removes the fresh translation: none to
-// the stolen frame survives. A second faulter arriving during the hold
-// spins, then sleeps on the lock until the hold ends.
+// the stolen frame survives. The clock's first pass over the page waits out
+// the fault's hold and clears the referenced bit; its second pass steals.
 TEST(Pager, StealCannotFallBetweenResolveAndInsert) {
   PhysMem mem(8 * kPageSize);
   SwapSpace swap(8);
@@ -174,7 +174,6 @@ TEST(Pager, StealCannotFallBetweenResolveAndInsert) {
   ASSERT_TRUE(region->Resolve(0, true, [](const PageResolution&) {}).ok());
   Tlb tlb;
   std::atomic<bool> mapping{false};
-  std::atomic<bool> mapped{false};
   std::atomic<bool> flushed{false};
   bool flushed_before_insert = true;
   auto slow_map = [&](const PageResolution& res) {
@@ -182,23 +181,16 @@ TEST(Pager, StealCannotFallBetweenResolveAndInsert) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     flushed_before_insert = flushed.load();
     tlb.Insert(0, res.pfn, res.writable);
-    mapped = true;
   };
   std::thread faulter([&] { EXPECT_TRUE(region->Resolve(0, false, slow_map).ok()); });
   while (!mapping) {
     std::this_thread::yield();
   }
-  std::thread second([&] {
-    EXPECT_FALSE(mapped.load());  // arrives during the hold...
-    EXPECT_TRUE(region->Resolve(0, false, [](const PageResolution&) {}).ok());
-    EXPECT_TRUE(mapped.load());  // ...and gets the lock only after it
-  });
   const u64 stolen = region->StealPages(1, [&](u64 idx) {
     flushed = true;
     tlb.FlushPage(idx);
   });
   faulter.join();
-  second.join();
   EXPECT_FALSE(flushed_before_insert);
   EXPECT_EQ(stolen, 1u);
   EXPECT_EQ(tlb.Probe(0, false).kind, TlbProbe::Kind::kMiss);

@@ -187,7 +187,8 @@ struct BackgroundFault {
 };
 
 // The page table is locked in stripes of Region::kRunPtes PTEs: a fault on
-// another stripe passes a parked faulter, and one on its own run waits.
+// another stripe passes a parked faulter, and one on its run, its own page
+// included, waits until the parked fault's map returns.
 TEST(Region, FaultOnAnotherStripePassesAParkedFaulter) {
   PhysMem mem(8 * kPageSize);
   auto r = Region::Alloc(mem, RegionType::kAnon, Region::kRunPtes * Region::kStripes);
@@ -199,8 +200,10 @@ TEST(Region, FaultOnAnotherStripePassesAParkedFaulter) {
   }
   EXPECT_TRUE(other.done.load());
   BackgroundFault same(*r, 1);  // page 0's run
+  BackgroundFault same_page(*r, 0);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(same.done.load());
+  EXPECT_FALSE(same_page.done.load());
   parked.Release();
 }
 

@@ -9,9 +9,11 @@
 #              self-test and the sgcheck run over the repo itself)
 #   tsan     — ThreadSanitizer, sync/core/VM-focused suite (file-backed
 #              mappings included: their faults insert under the region lock
-#              that inode reads and writeback hold) plus every BlockOn
+#              that inode reads and writeback hold), every BlockOn
 #              sleeper's suite: pipes, SysV IPC, wait/pause/sigpause and
-#              PR_BLOCKGROUP (preset filter)
+#              PR_BLOCKGROUP, and the fair-share and scheduler suites
+#              (rm_test, sched_test) whose members charge a group's CPU
+#              account while waiters re-bend against it (preset filter)
 #   lockdep  — runtime lock-order + sleep-under-spin validator, full suite
 #   asan     — AddressSanitizer, full suite
 #   ubsan    — UndefinedBehaviorSanitizer (hard errors), full suite
