@@ -52,15 +52,23 @@ void BM_UncontendedPipeToken(benchmark::State& state) {
   Kernel k;
   constexpr int kOps = 4096;
   for (auto _ : state) {
+    bool piped = false;
     RunSim(k, [&](Env& env) {
-      int rd = -1, wr = -1;
-      env.Pipe(&rd, &wr);
+      int rd, wr;
+      if (env.Pipe(&rd, &wr) != 0) {
+        return;
+      }
+      piped = true;
       std::byte token{1};
       for (int i = 0; i < kOps; ++i) {
         env.WriteBuf(wr, std::span<const std::byte>(&token, 1));
         env.ReadBuf(rd, std::span<std::byte>(&token, 1));
       }
     });
+    if (!piped) {
+      state.SkipWithError("pipe failed");
+      break;
+    }
   }
   state.SetItemsProcessed(state.iterations() * kOps);
 }
@@ -155,10 +163,13 @@ BENCHMARK(BM_PingPongSysvSem)->Unit(benchmark::kMillisecond);
 void BM_PingPongPipe(benchmark::State& state) {
   Kernel k;
   for (auto _ : state) {
+    bool piped = false;
     RunSim(k, [&](Env& env) {
       int a_rd, a_wr, b_rd, b_wr;
-      env.Pipe(&a_rd, &a_wr);
-      env.Pipe(&b_rd, &b_wr);
+      if (env.Pipe(&a_rd, &a_wr) != 0 || env.Pipe(&b_rd, &b_wr) != 0) {
+        return;  // exit closes a pipe the first call made
+      }
+      piped = true;
       env.Fork([a_rd, b_wr](Env& c, long) {
         std::byte t{0};
         for (int i = 0; i < kRounds; ++i) {
@@ -176,6 +187,10 @@ void BM_PingPongPipe(benchmark::State& state) {
           env.proc().syscalls.load() - sys0) / kRounds;
       env.WaitChild();
     });
+    if (!piped) {
+      state.SkipWithError("pipe failed");
+      break;
+    }
   }
   state.SetItemsProcessed(state.iterations() * kRounds);
 }

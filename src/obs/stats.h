@@ -9,9 +9,9 @@
 // renders the whole registry for user processes.
 //
 // Design constraints:
-//   * The update path is a single relaxed atomic increment. Name lookup
-//     happens ONCE per call site (function-local static reference in the
-//     SG_OBS_* macros), so instrumentation stays off the critical path.
+//   * The update path is one relaxed atomic increment of the caller's own
+//     shard. Name lookup happens ONCE per call site (function-local static
+//     reference in the SG_OBS_* macros), so it stays off the critical path.
 //   * Registered objects have stable addresses for the life of the
 //     process (the registry is a leaked singleton), so cached references
 //     never dangle — including during static destruction.
@@ -28,19 +28,30 @@
 
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
+#include "base/thread_slot.h"
 #include "base/types.h"
 
 namespace sg {
 namespace obs {
 
-// Monotonically increasing event count.
+// Monotonically increasing event count, one cache-line shard per ThreadSlot():
+// members counting at once write no shared line, and value() sums the shards.
 class Counter {
  public:
-  void Inc(u64 n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  u64 value() const { return v_.load(std::memory_order_relaxed); }
+  void Inc(u64 n = 1) { shards_[ThreadSlot()].v.fetch_add(n, std::memory_order_relaxed); }
+  u64 value() const {
+    u64 sum = 0;
+    for (const Shard& s : shards_) {
+      sum += s.v.load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
 
  private:
-  std::atomic<u64> v_{0};
+  struct alignas(64) Shard {
+    std::atomic<u64> v{0};
+  };
+  std::array<Shard, kThreadSlots> shards_{};
 };
 
 // Instantaneous level (live processes, live share blocks).

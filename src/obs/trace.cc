@@ -17,9 +17,9 @@ TraceRing::TraceRing(u32 capacity) : cap_(capacity), slots_(new Slot[capacity]) 
 }
 
 void TraceRing::Emit(const TraceEvent& e) {
-  const u64 i = head_.fetch_add(1, std::memory_order_relaxed) % cap_;
-  Slot& s = slots_[i];
-  s.tick.store(e.tick, std::memory_order_relaxed);
+  const u64 n = head_.fetch_add(1, std::memory_order_relaxed);
+  Slot& s = slots_[n % cap_];
+  s.tick.store(n + 1, std::memory_order_relaxed);
   s.arg0.store(e.arg0, std::memory_order_relaxed);
   s.arg1.store(e.arg1, std::memory_order_relaxed);
   s.pid.store(e.pid, std::memory_order_relaxed);
@@ -78,7 +78,6 @@ TraceRing& TraceBuffer::ring(i32 cpu) {
 void TraceBuffer::Emit(TraceKind kind, u64 arg0, u64 arg1) {
   const TraceContext& ctx = CurrentTraceContext();
   TraceEvent e;
-  e.tick = tick_.fetch_add(1, std::memory_order_relaxed);
   e.arg0 = arg0;
   e.arg1 = arg1;
   e.pid = ctx.pid;
@@ -99,7 +98,6 @@ void TraceBuffer::Reset() {
   for (const auto& r : rings_) {
     r->Reset();
   }
-  tick_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace obs

@@ -7,8 +7,9 @@
 // in unit tests, processes mid-block). A process's current CPU and pid
 // live in a thread-local TraceContext maintained by the proc layer, so
 // emitting an event never takes a lock: claim a slot with fetch_add, store
-// the fields relaxed. When a ring wraps, the oldest events are overwritten
-// (dropped() reports how many).
+// the fields relaxed; the claim numbers the event within its ring (no order
+// across rings, so CPUs tracing at once share no line). When a ring wraps,
+// the oldest events are overwritten (dropped() reports how many).
 //
 // Events off the syscall fast path only: the entry-count fast path uses
 // plain counters (obs/stats.h); rings record the *rare* expensive events,
@@ -37,7 +38,7 @@ enum class TraceKind : u16 {
 };
 
 struct TraceEvent {
-  u64 tick = 0;  // global order stamp (monotone across all rings)
+  u64 tick = 0;  // number within its ring, from 1 (set by TraceRing::Emit)
   u64 arg0 = 0;
   u64 arg1 = 0;
   i32 pid = 0;   // 0 = not a simulated process
@@ -102,7 +103,7 @@ class TraceBuffer {
 
   static TraceBuffer& Global();
 
-  // Stamps a global tick and appends to the calling thread's current ring.
+  // Appends to the calling thread's current ring.
   void Emit(TraceKind kind, u64 arg0 = 0, u64 arg1 = 0);
 
   TraceRing& ring(i32 cpu);
@@ -112,7 +113,6 @@ class TraceBuffer {
  private:
   TraceBuffer();
 
-  std::atomic<u64> tick_{0};
   std::vector<std::unique_ptr<TraceRing>> rings_;  // kMaxCpus + 1, fixed at ctor
 };
 

@@ -127,7 +127,9 @@ Result<PageResolution> Region::ResolveLocked(u64 idx, bool want_write) {
     return Errno::kEFAULT;
   }
   Pte& pte = ptes_[idx];
-  pte.referenced = true;  // clock bit for the pager
+  if (!pte.referenced) {
+    pte.referenced = true;  // clock bit for the pager; see Pte::referenced
+  }
   // Shared file mappings track dirtiness: writes must fault once so the
   // dirty bit is set before write access is granted.
   const bool track_dirty = NeedsWriteBack();

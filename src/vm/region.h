@@ -59,7 +59,8 @@ struct Pte {
   u32 swap_slot = 0;      // nonzero while paged out
   bool valid = false;     // frame present
   bool cow = false;       // frame shared copy-on-write; mapped read-only
-  bool referenced = false;  // touched since the pager's last pass (clock bit)
+  // Clock bit, set by a fault only when clear: refaults leave the line clean.
+  bool referenced = false;  // touched since the pager's last pass
   bool dirty = false;       // granted write access (file-mapping writeback)
 };
 

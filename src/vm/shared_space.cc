@@ -22,14 +22,6 @@ SharedSpace::~SharedSpace() {
   // free via their unique_ptrs.
 }
 
-u32 SharedSpace::EpochSlotIndex() {
-  // Sticky per-thread slot, round-robin assigned, so concurrent faulters
-  // land on different cachelines.
-  static std::atomic<u32> next{0};
-  thread_local u32 slot = next.fetch_add(1, std::memory_order_relaxed);
-  return slot & (kEpochSlots - 1);
-}
-
 u64 SharedSpace::EpochSum(u32 parity) const {
   u64 sum = 0;
   for (const EpochSlot& s : epoch_slots_) {

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "base/thread_annotations.h"
+#include "base/thread_slot.h"
 #include "base/types.h"
 #include "hw/cpu_set.h"
 #include "hw/tlb.h"
@@ -123,7 +124,7 @@ class SharedSpace {
   // stays alive until the guard is destroyed.
   class EpochGuard {
    public:
-    explicit EpochGuard(SharedSpace& ss) : ss_(ss), slot_(EpochSlotIndex()) {
+    explicit EpochGuard(SharedSpace& ss) : ss_(ss), slot_(ThreadSlot()) {
       // Registration counts only if the parity still reads the same AFTER
       // the increment. A writer may flip and drain between the load and
       // the increment; registered on the side it already drained, this
@@ -244,12 +245,9 @@ class SharedSpace {
   void TeardownRelease() SG_NO_THREAD_SAFETY_ANALYSIS;
 
  private:
-  static constexpr u32 kEpochSlots = 16;  // power of two
   struct alignas(64) EpochSlot {
     std::atomic<u64> n[2] = {0, 0};
   };
-
-  static u32 EpochSlotIndex();
 
   u64 EpochSum(u32 parity) const;
   void FreeGraveyard() SG_REQUIRES(lock_);
@@ -263,7 +261,7 @@ class SharedSpace {
   std::atomic<const LayoutSnapshot*> snap_;  // never null after construction
 
   // Reader registration: writers flip epoch_parity_ and drain the old side.
-  EpochSlot epoch_slots_[kEpochSlots];
+  EpochSlot epoch_slots_[kThreadSlots];  // one per ThreadSlot()
   std::atomic<u32> epoch_parity_{0};
 
   std::vector<std::unique_ptr<Pregion>> pregions_ SG_GUARDED_BY(lock_);

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstddef>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/kernel.h"
@@ -85,6 +86,29 @@ TEST(Stats, RenderTextListsRegisteredNames) {
   EXPECT_GE(StatLine(text, "test.render_me"), 3);
 }
 
+// Counters shard per thread, so each reader must sum every shard: the
+// concurrent increments of 8 threads, on 8 shards, all count.
+TEST(Stats, ShardedCounterSumsEveryThreadsIncrements) {
+  obs::Stats& s = obs::Stats::Global();
+  obs::Counter& c = s.counter("test.sharded_sum");
+  constexpr int kThreads = 8;
+  constexpr u64 kIncs = 100000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&c] {
+      for (u64 i = 0; i < kIncs; ++i) {
+        c.Inc();
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(c.value(), kThreads * kIncs);
+  EXPECT_EQ(s.CounterValue("test.sharded_sum"), kThreads * kIncs);
+  EXPECT_EQ(StatLine(s.RenderText(), "test.sharded_sum"), static_cast<i64>(kThreads * kIncs));
+}
+
 // A share group's lock counters live in the group (/proc/share/<gid>), so
 // forming and reaping groups does not grow the global registry: /proc/stat
 // keeps a fixed set of names however many groups ever existed.
@@ -127,7 +151,6 @@ TEST(TraceRing, OverflowKeepsNewestOldestFirst) {
   obs::TraceRing ring(8);
   for (u64 i = 0; i < 20; ++i) {
     obs::TraceEvent e;
-    e.tick = i + 1;
     e.kind = static_cast<u16>(obs::TraceKind::kPageFault);
     ring.Emit(e);
   }
@@ -135,7 +158,8 @@ TEST(TraceRing, OverflowKeepsNewestOldestFirst) {
   EXPECT_EQ(ring.dropped(), 12u);
   const std::vector<obs::TraceEvent> events = ring.Snapshot();
   ASSERT_EQ(events.size(), 8u);
-  // The 8 survivors are the newest (ticks 13..20), oldest first.
+  // The ring numbers its own events from 1: the 8 survivors are the
+  // newest (ticks 13..20), oldest first.
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].tick, 13 + i) << "slot " << i;
   }

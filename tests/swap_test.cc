@@ -99,6 +99,37 @@ TEST(Pager, ReferencedPagesGetASecondChance) {
   EXPECT_EQ(region->ResidentPages(), 3u);
 }
 
+// A fault sets a cleared clock bit again. A sweep clears page 1's bit (and
+// steals page 0); once page 1's TLB entry is flushed, the next access
+// refaults it, so the next sweep spares page 1 and steals the cold page 2.
+TEST(Pager, RefaultAfterSweepSetsTheClockBitAgain) {
+  PhysMem mem(32 * kPageSize);
+  SwapSpace swap(64);
+  mem.AttachSwap(&swap);
+  AddressSpace as(mem);
+  auto data = Region::Alloc(mem, RegionType::kData, 4);
+  Region* region = data.get();
+  as.AttachPrivate(std::make_unique<Pregion>(std::move(data), kDataBase, kProtRw));
+  for (u64 i = 0; i < 4; ++i) {
+    ASSERT_TRUE(Store<u32>(as, kDataBase + i * kPageSize, static_cast<u32>(10 + i)).ok());
+  }
+  ASSERT_EQ(ReclaimPages(as, 1), 1u);  // clears all four bits, steals page 0
+  ASSERT_EQ(swap.outs(), 1u);
+  const vaddr_t page1 = kDataBase + kPageSize;
+  as.tlb().FlushPage(PageOf(page1));
+  ASSERT_EQ(Load<u32>(as, page1).value(), 11u);  // refault: a minor fault
+  EXPECT_EQ(ReclaimPages(as, 1), 1u);
+  EXPECT_EQ(region->ResidentPages(), 2u);
+  // Page 1 stayed resident: reading it again needs no swap-in.
+  const u64 ins = swap.ins();
+  as.tlb().FlushPage(PageOf(page1));
+  EXPECT_EQ(Load<u32>(as, page1).value(), 11u);
+  EXPECT_EQ(swap.ins(), ins);
+  // Page 2 went out instead.
+  EXPECT_EQ(Load<u32>(as, kDataBase + 2 * kPageSize).value(), 12u);
+  EXPECT_EQ(swap.ins(), ins + 1);
+}
+
 TEST(Pager, SharedFramesAreNeverStolen) {
   PhysMem mem(32 * kPageSize);
   SwapSpace swap(64);

@@ -25,7 +25,7 @@ void ChaosWorker(Env& env, u32 seed, const vaddr_t arena) {
     switch (rng() % 12) {
       case 0: {  // open
         char path[32];
-        std::snprintf(path, sizeof(path), "/t%u", rng() % 24);
+        std::snprintf(path, sizeof(path), "/t%u", static_cast<unsigned>(rng() % 24));
         const int fd = env.Open(path, kOpenRdwr | kOpenCreat);
         if (fd >= 0) {
           fds.push_back(fd);

@@ -30,7 +30,9 @@
 # container ships gcc only; add it explicitly where clang exists.
 #
 # Each preset is configure + build + ctest; the script stops at the first
-# failure so the log ends at the culprit.
+# failure so the log ends at the culprit. Every preset is configured with
+# CMAKE_COMPILE_WARNING_AS_ERROR, so a new compiler warning fails the
+# ladder (the tier-1 `cmake -B build` and perfbench builds keep their flags).
 set -euo pipefail
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
@@ -47,7 +49,7 @@ for p in "${presets[@]}"; do
   echo "===================================================================="
   echo "== ci: preset ${p}"
   echo "===================================================================="
-  cmake --preset "${p}"
+  cmake --preset "${p}" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build --preset "${p}" -j "${jobs}"
   ctest --preset "${p}" -j "${jobs}"
 done
