@@ -32,19 +32,6 @@ TlbProbe Tlb::Probe(u64 vpn, bool want_write) {
   return TlbProbe{TlbProbe::Kind::kHit, e.pfn};
 }
 
-void Tlb::Insert(u64 vpn, pfn_t pfn, bool writable) {
-  SpinGuard g(lock_);
-  Entry& e = entries_[SlotFor(vpn)];
-  if (!Live(e)) {
-    ++live_count_;  // replacing a stale/empty slot brings a new live entry
-  }
-  e.vpn = vpn;
-  e.pfn = pfn;
-  e.gen = flush_gen_;
-  e.valid = true;
-  e.writable = writable;
-}
-
 void Tlb::Invalidate(Entry& e) {
   e.valid = false;
   SG_DCHECK(live_count_ > 0);

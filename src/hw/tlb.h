@@ -77,7 +77,28 @@ class Tlb {
   }
 
   // Installs (or replaces) the translation for `vpn`.
-  void Insert(u64 vpn, pfn_t pfn, bool writable);
+  void Insert(u64 vpn, pfn_t pfn, bool writable) {
+    InsertIf(vpn, pfn, writable, [] { return true; });
+  }
+
+  // Installs it only if `still()` holds under the TLB lock, and says whether
+  // it did. A lockless refill passes a reread of its PTE word
+  // (Region::TryRefill): a writer that revokes the translation changes the
+  // word before it flushes, and the flush takes this lock, so the insert
+  // lands before the flush, which drops it, or sees the change and backs off.
+  template <typename Pred>
+  bool InsertIf(u64 vpn, pfn_t pfn, bool writable, Pred&& still) {
+    SpinGuard g(lock_);
+    if (!still()) {
+      return false;
+    }
+    Entry& e = entries_[SlotFor(vpn)];
+    if (!Live(e)) {
+      ++live_count_;  // replacing a stale/empty slot brings a new live entry
+    }
+    e = Entry{vpn, pfn, flush_gen_, true, writable};
+    return true;
+  }
 
   // Invalidation. FlushAll is what a cross-processor shootdown delivers;
   // it is O(1) (generation bump, see file comment).

@@ -16,8 +16,9 @@
 //
 // Unlike the classic seqlock, readers here never dereference racily-written
 // plain data: everything they touch is either an atomically published
-// snapshot pointer (SharedSpace::layout()) or state guarded by a finer lock
-// (region page tables, TLBs). The counter is therefore a pure logical
+// snapshot pointer (SharedSpace::layout()), a PTE word read atomically from
+// a table whose resizers drain readers first, or state guarded by a finer
+// lock (region page tables, TLBs). The counter is therefore a pure logical
 // validity check — its memory-ordering obligations are modest, and the
 // seq_cst RMWs below are chosen for auditability, not necessity (the
 // dangerous interleavings are all mediated by the TLB/page-table locks; see

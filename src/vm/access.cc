@@ -90,22 +90,24 @@ enum class Attempt {
 // update lock, where no write section can open and it always validates.
 Attempt SharedAttempt(AddressSpace& as, SharedSpace& ss, vaddr_t va, bool want_write,
                       Status* out) {
+  // The epoch guard pins the snapshot and everything it points to
+  // (including a pregion a concurrent munmap is retiring, and the page
+  // table a refill reads) for the rest of this attempt. It comes BEFORE the
+  // seqcount read: a resizer drains pins inside its write section, so a pin
+  // taken after its drain reads an odd count below and touches nothing.
+  // It MUST outlive the revalidation and the undo flush below: the instant
+  // we drop it, an updater's AwaitQuiescent may complete and free retired
+  // frames, so we stay registered until either the revalidation proves our
+  // TLB entry belongs to a stable layout or the entry is gone again. A
+  // sibling thread of this task shares our TLB — a stale entry outliving
+  // the quiescence point would let it translate to a freed frame.
+  SharedSpace::EpochGuard epoch(ss);
   u64 s0 = 0;
   if (!ss.layout_seq().TryReadBegin(&s0)) {
     return Attempt::kBusy;
   }
   SG_INJECT_POINT("vm.fault.lockless");
   Status st = Errno::kEFAULT;
-  // The epoch guard pins the snapshot and everything it points to
-  // (including a pregion a concurrent munmap is retiring) for the rest
-  // of this attempt. It MUST outlive the revalidation and the undo
-  // flush below: the instant we drop it, an updater's AwaitQuiescent may
-  // complete and free retired frames, so we stay registered until either
-  // the revalidation proves our TLB entry belongs to a stable layout or
-  // the entry is gone again. A sibling thread of this task shares our
-  // TLB — a stale entry outliving the quiescence point would let it
-  // translate to a freed frame.
-  SharedSpace::EpochGuard epoch(ss);
   const LayoutSnapshot* snap = ss.layout();
   // sgcheck:allow(sleep-in-atomic): name collision — sgcheck links calls
   // by bare name, so `Find` reaches ProcTable::Find's mutex. This Find
@@ -113,12 +115,19 @@ Attempt SharedAttempt(AddressSpace& as, SharedSpace& ss, vaddr_t va, bool want_w
   // page count: nothing on this lookup blocks.
   if (Pregion* pr = snap->Find(va); pr != nullptr) {
     if (ProtAllows(*pr, want_write)) {
-      // The PTE's stripe closes the resolve/insert vs pager-steal window;
-      // layout writers are caught by the seqcount recheck below instead.
+      // A present page refills with no stripe; any other access resolves
+      // under the PTE's stripe, which closes the resolve/insert vs
+      // pager-steal window. Layout writers are caught by the seqcount
+      // recheck below instead.
+      auto insert = [&](pfn_t pfn, bool writable, auto&& unchanged) {
+        const bool tlb_writable = writable && (pr->prot & kProtWrite) != 0;
+        return as.tlb().InsertIf(PageOf(va), pfn, tlb_writable, unchanged);
+      };
+      const bool refilled = pr->region->TryRefill(pr->PageIndex(va), want_write, insert);
       // sgcheck:allow(sleep-in-atomic): §4h — resolve takes a page-table
       // stripe (spinning briefly first) and may read swap; the epoch pin is
       // expected to span the whole resolve+flush+insert+recheck.
-      st = ResolveAndMap(as, *pr, va, want_write, [&](u64 vpn) {
+      st = refilled ? Status::Ok() : ResolveAndMap(as, *pr, va, want_write, [&](u64 vpn) {
         // Frame change published to every member BEFORE the seqcount
         // re-check: a membership/layout change that could widen the
         // member set forces a retry, never a missed invalidation.
@@ -148,7 +157,8 @@ Attempt SharedAttempt(AddressSpace& as, SharedSpace& ss, vaddr_t va, bool want_w
 //
 // Private pregions are owner-thread state and resolve with no locking at
 // all. For the shared image, SharedAttempt looks `va` up in the published
-// snapshot under an epoch guard, resolves the page and inserts its
+// snapshot under an epoch guard, refills a present page's
+// translation from its PTE word or else resolves the page and inserts its
 // translation under that PTE's stripe, and REVALIDATES the layout
 // seqcount: unchanged means no mutation straddled the resolution and the
 // installed translation stands.

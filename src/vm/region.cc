@@ -56,8 +56,8 @@ bool Region::SharedAcrossFork() const {
 Region::~Region() {
   u64 resident = 0;
   for (Pte& pte : ptes_) {
-    if (pte.valid) {
-      mem_.Unref(pte.pfn);
+    if (const u64 w = pte.load(); (w & Pte::kValid) != 0) {
+      mem_.Unref(Pte::Pfn(w));
       ++resident;
     } else if (pte.swap_slot != 0) {
       mem_.swap_device()->Free(pte.swap_slot);
@@ -89,7 +89,7 @@ void Region::SetCharge(PageCharge* charge) {
   }
   u64 resident = 0;
   for (const Pte& pte : ptes_) {
-    resident += pte.valid ? 1 : 0;
+    resident += (pte.load() & Pte::kValid) != 0 ? 1 : 0;
   }
   if (resident != 0) {
     if (charge_ != nullptr) {
@@ -127,16 +127,15 @@ Result<PageResolution> Region::ResolveLocked(u64 idx, bool want_write) {
     return Errno::kEFAULT;
   }
   Pte& pte = ptes_[idx];
-  if (!pte.referenced) {
-    pte.referenced = true;  // clock bit for the pager; see Pte::referenced
-  }
+  const u64 was = pte.load();
+  u64 w = was | Pte::kReferenced;  // clock bit for the pager; see Pte::kReferenced
   // Shared file mappings track dirtiness: writes must fault once so the
   // dirty bit is set before write access is granted.
   const bool track_dirty = NeedsWriteBack();
   if (want_write && track_dirty) {
-    pte.dirty = true;
+    w |= Pte::kDirty;
   }
-  if (!pte.valid) {
+  if ((w & Pte::kValid) == 0) {
     // Cap check before the allocation: a group at its resident-page cap is
     // refused even when free frames exist, and the kENOMEM sends the fault
     // path to the pager, which steals from this same image (uncharging as
@@ -162,32 +161,35 @@ Result<PageResolution> Region::ResolveLocked(u64 idx, bool want_write) {
       source_->ReadPage(source_off_ + idx * kPageSize, mem_.FrameData(frame.value()));
     }
     // else: demand zero — first touch of the page.
-    pte.pfn = frame.value();
-    pte.valid = true;
-    pte.cow = false;
-    return PageResolution{pte.pfn, !track_dirty || pte.dirty, false};
+    w = Pte::WithPfn(w & ~Pte::kCow, frame.value()) | Pte::kValid;
+    pte.store(w);
+    return PageResolution{frame.value(), Writable(w), false};
   }
-  if (pte.cow && want_write) {
+  const pfn_t pfn = Pte::Pfn(w);
+  if ((w & Pte::kCow) != 0 && want_write) {
     // Copy-on-write break.
-    if (mem_.TakeExclusive(pte.pfn)) {
+    if (mem_.TakeExclusive(pfn)) {
       // Sole owner already: just regain write permission.
-      pte.cow = false;
-      return PageResolution{pte.pfn, true, false};
+      pte.store(w & ~Pte::kCow);
+      return PageResolution{pfn, true, false};
     }
     auto frame = mem_.AllocFrameForOverwrite();
     if (!frame.ok()) {
       return frame.error();
     }
-    std::memcpy(mem_.FrameData(frame.value()), mem_.FrameData(pte.pfn), kPageSize);
-    mem_.Unref(pte.pfn);
-    pte.pfn = frame.value();
-    pte.cow = false;
-    return PageResolution{pte.pfn, true, true};
+    std::memcpy(mem_.FrameData(frame.value()), mem_.FrameData(pfn), kPageSize);
+    mem_.Unref(pfn);
+    // The new pfn is stored before `map` flushes the members.
+    pte.store(Pte::WithPfn(w & ~Pte::kCow, frame.value()));
+    return PageResolution{frame.value(), true, true};
+  }
+  if (w != was) {
+    pte.store(w);
   }
   // Present page: COW pages stay read-only so a later write traps, and
   // clean pages of a writeback mapping stay read-only so the first write
   // marks them dirty.
-  return PageResolution{pte.pfn, !pte.cow && (!track_dirty || pte.dirty), false};
+  return PageResolution{pfn, Writable(w), false};
 }
 
 Status Region::WriteBack() {
@@ -196,8 +198,9 @@ Status Region::WriteBack() {
     return Errno::kEINVAL;
   }
   for (u64 idx = 0; idx < ptes_.size(); ++idx) {
-    Pte& pte = ptes_[idx];
-    if (!pte.dirty) {
+    const Pte& pte = ptes_[idx];
+    const u64 w = pte.load();
+    if ((w & Pte::kDirty) == 0) {
       continue;
     }
     const u64 off = idx * kPageSize;
@@ -205,15 +208,14 @@ Status Region::WriteBack() {
       continue;  // the zero tail past the mapped length never writes back
     }
     const u64 len = std::min<u64>(kPageSize, source_len_ - off);
-    if (pte.valid) {
-      source_->WritePage(source_off_ + off, mem_.FrameData(pte.pfn), len);
+    if ((w & Pte::kValid) != 0) {
+      source_->WritePage(source_off_ + off, mem_.FrameData(Pte::Pfn(w)), len);
     } else if (pte.swap_slot != 0) {
       // The pager stole a dirty page; push the swap copy out.
       std::byte page[kPageSize];
       mem_.swap_device()->Peek(pte.swap_slot, page);
       source_->WritePage(source_off_ + off, page, len);
     }
-    pte.dirty = false;
   }
   return Status::Ok();
 }
@@ -235,8 +237,8 @@ Status Region::ShrinkTo(u64 new_pages) {
   }
   u64 freed = 0;
   for (u64 i = new_pages; i < ptes_.size(); ++i) {
-    if (ptes_[i].valid) {
-      mem_.Unref(ptes_[i].pfn);
+    if (const u64 w = ptes_[i].load(); (w & Pte::kValid) != 0) {
+      mem_.Unref(Pte::Pfn(w));
       ++freed;
     } else if (ptes_[i].swap_slot != 0) {
       mem_.swap_device()->Free(ptes_[i].swap_slot);
@@ -261,13 +263,8 @@ std::shared_ptr<Region> Region::DupCow() {
   twin->shared_mapping_ = false;
   for (u64 i = 0; i < ptes_.size(); ++i) {
     Pte& src = ptes_[i];
-    if (src.valid) {
-      mem_.Ref(src.pfn);
-      src.cow = true;  // source loses write permission until it re-faults
-      twin->ptes_[i].pfn = src.pfn;
-      twin->ptes_[i].valid = true;
-      twin->ptes_[i].cow = true;
-    } else if (src.swap_slot != 0) {
+    u64 w = src.load();
+    if ((w & Pte::kValid) == 0 && src.swap_slot != 0) {
       // Paged-out page: the twin needs its own copy of the swap slot (two
       // PTEs must never own one slot). If the device is full, swap the
       // source back in and COW-share the frame instead; exhausting BOTH
@@ -275,24 +272,23 @@ std::shared_ptr<Region> Region::DupCow() {
       auto dup = mem_.swap_device()->Duplicate(src.swap_slot);
       if (dup.ok()) {
         twin->ptes_[i].swap_slot = dup.value();
-      } else {
-        auto frame = mem_.AllocFrameForOverwrite();
-        SG_CHECK(frame.ok());  // out of memory AND swap: nothing left to do
-        mem_.swap_device()->ReadInAndFree(src.swap_slot, mem_.FrameData(frame.value()));
-        src.pfn = frame.value();
-        src.swap_slot = 0;
-        src.valid = true;
-        if (charge_ != nullptr) {
-          // The source page came back resident mid-duplication; there is no
-          // way to back out here, so the charge is forced past any cap.
-          charge_->ChargePagesForced(1);
-        }
-        mem_.Ref(src.pfn);
-        src.cow = true;
-        twin->ptes_[i].pfn = src.pfn;
-        twin->ptes_[i].valid = true;
-        twin->ptes_[i].cow = true;
+        continue;
       }
+      auto frame = mem_.AllocFrameForOverwrite();
+      SG_CHECK(frame.ok());  // out of memory AND swap: nothing left to do
+      mem_.swap_device()->ReadInAndFree(src.swap_slot, mem_.FrameData(frame.value()));
+      src.swap_slot = 0;
+      w = Pte::WithPfn(w, frame.value()) | Pte::kValid;
+      if (charge_ != nullptr) {
+        // The source page came back resident mid-duplication; there is no
+        // way to back out here, so the charge is forced past any cap.
+        charge_->ChargePagesForced(1);
+      }
+    }
+    if ((w & Pte::kValid) != 0) {
+      mem_.Ref(Pte::Pfn(w));
+      src.store(w | Pte::kCow);  // source loses write permission until it re-faults
+      twin->ptes_[i].store(Pte::WithPfn(Pte::kValid | Pte::kCow, Pte::Pfn(w)));
     }
   }
   return twin;
@@ -309,20 +305,21 @@ Status Region::FillFrom(u64 off, std::span<const std::byte> data) {
     const u64 page_off = (off + done) & kPageMask;
     const u64 chunk = std::min<u64>(kPageSize - page_off, data.size() - done);
     Pte& pte = ptes_[idx];
-    if (!pte.valid) {
+    u64 w = pte.load();
+    if ((w & Pte::kValid) == 0) {
       auto frame = mem_.AllocFrame();
       if (!frame.ok()) {
         return frame.error();
       }
-      pte.pfn = frame.value();
-      pte.valid = true;
+      w = Pte::WithPfn(w, frame.value()) | Pte::kValid;
+      pte.store(w);
       if (charge_ != nullptr) {
         // Kernel-side image initialization never bounces on a cap.
         charge_->ChargePagesForced(1);
       }
     }
-    SG_CHECK(!pte.cow);  // initialization happens before any sharing
-    std::memcpy(mem_.FrameData(pte.pfn) + page_off, data.data() + done, chunk);
+    SG_CHECK((w & Pte::kCow) == 0);  // initialization happens before any sharing
+    std::memcpy(mem_.FrameData(Pte::Pfn(w)) + page_off, data.data() + done, chunk);
     done += chunk;
   }
   return Status::Ok();
@@ -339,8 +336,8 @@ Status Region::ReadBack(u64 off, std::span<std::byte> out) const {
     const u64 page_off = (off + done) & kPageMask;
     const u64 chunk = std::min<u64>(kPageSize - page_off, out.size() - done);
     const Pte& pte = ptes_[idx];
-    if (pte.valid) {
-      std::memcpy(out.data() + done, mem_.FrameData(pte.pfn) + page_off, chunk);
+    if (const u64 w = pte.load(); (w & Pte::kValid) != 0) {
+      std::memcpy(out.data() + done, mem_.FrameData(Pte::Pfn(w)) + page_off, chunk);
     } else if (pte.swap_slot != 0) {
       std::byte page[kPageSize];
       mem_.swap_device()->Peek(pte.swap_slot, page);
@@ -357,7 +354,7 @@ u64 Region::ResidentPages() const {
   TableGuard g(*this);
   u64 n = 0;
   for (const Pte& pte : ptes_) {
-    n += pte.valid ? 1 : 0;
+    n += (pte.load() & Pte::kValid) != 0 ? 1 : 0;
   }
   return n;
 }
@@ -366,7 +363,7 @@ u64 Region::SwappedPages() const {
   TableGuard g(*this);
   u64 n = 0;
   for (const Pte& pte : ptes_) {
-    n += (!pte.valid && pte.swap_slot != 0) ? 1 : 0;
+    n += ((pte.load() & Pte::kValid) == 0 && pte.swap_slot != 0) ? 1 : 0;
   }
   return n;
 }

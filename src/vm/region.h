@@ -15,11 +15,12 @@
 // Share-group callers reach the region either through the group's UpdateLock
 // or, on the lockless fault path, under an epoch pin (see vm/access.cc) — the
 // two forms of the paper's fix for the "implicit pointers into the region"
-// problem of stock V.3. A fault installs its translation under its PTE's
-// stripe (Resolve's `map`), and a pager steal holds that stripe from its TLB
-// flush to its copy-out, so neither lands inside the other; the pager holds
-// one stripe per run it scans. Whole-table operations take every stripe in
-// ascending order (TableGuard), so the table's size and charge_ are stable
+// problem of stock V.3. A fault that changes a PTE installs its translation
+// under the PTE's stripe (Resolve's `map`), and a pager steal holds that
+// stripe from its TLB flush to its copy-out, so neither lands inside the
+// other; the pager holds one stripe per run it scans. A refill of a present
+// page takes no stripe (TryRefill). Whole-table operations take every stripe
+// in ascending order (TableGuard), so the table's size and charge_ are stable
 // under any one stripe. Lock order: [group update lock] -> one stripe -> TLB
 // spinlock; only TableGuard holds two stripes.
 #ifndef SRC_VM_REGION_H_
@@ -53,15 +54,32 @@ enum class RegionType {
 
 const char* RegionTypeName(RegionType t);
 
-// One page-table entry.
+// One page-table entry. Everything a translation depends on is one word,
+// the pfn in the low 32 bits and the flags above it, so a refill reads it
+// whole without the stripe (Region::TryRefill). The word is written only
+// under the PTE's stripe, one store per change, and a writer that revokes a
+// translation stores the new word before it flushes the TLBs.
 struct Pte {
-  pfn_t pfn = 0;
-  u32 swap_slot = 0;      // nonzero while paged out
-  bool valid = false;     // frame present
-  bool cow = false;       // frame shared copy-on-write; mapped read-only
+  static constexpr u64 kPfnMask = 0xffff'ffff;
+  static constexpr u64 kValid = u64{1} << 32;  // frame present
+  static constexpr u64 kCow = u64{1} << 33;    // frame shared copy-on-write; mapped read-only
   // Clock bit, set by a fault only when clear: refaults leave the line clean.
-  bool referenced = false;  // touched since the pager's last pass
-  bool dirty = false;       // granted write access (file-mapping writeback)
+  static constexpr u64 kReferenced = u64{1} << 34;  // touched since the pager's last pass
+  static constexpr u64 kDirty = u64{1} << 35;       // written since mapped (file writeback)
+
+  Pte() = default;
+  // For std::vector, which copies only under every stripe.
+  Pte(const Pte& o) : word(o.word.load(std::memory_order_relaxed)), swap_slot(o.swap_slot) {}
+
+  // Acquire/release: a frame filled before its word is stored is filled for
+  // whoever loads the word.
+  u64 load() const { return word.load(std::memory_order_acquire); }
+  void store(u64 w) { word.store(w, std::memory_order_release); }
+  static pfn_t Pfn(u64 w) { return static_cast<pfn_t>(w & kPfnMask); }
+  static u64 WithPfn(u64 w, pfn_t pfn) { return (w & ~kPfnMask) | pfn; }
+
+  std::atomic<u64> word{0};
+  u32 swap_slot = 0;  // nonzero while paged out; read and written under the stripe
 };
 
 // Outcome of resolving a page for an access.
@@ -109,12 +127,23 @@ class Region {
   template <typename MapFn>
   Result<PageResolution> Resolve(u64 idx, bool want_write, MapFn&& map);
 
+  // Refills a translation of page `idx` without its stripe: if the PTE word
+  // is present, referenced and grants the access, returns `insert(pfn,
+  // writable, unchanged)`, where `unchanged()` rereads the word and holds
+  // while it is the one read; `insert` tests it under the TLB lock
+  // (Tlb::InsertIf). Otherwise returns false: the access needs Resolve.
+  // The caller holds an epoch pin, which an image region's resizers drain.
+  template <typename InsertFn>
+  bool TryRefill(u64 idx, bool want_write, InsertFn&& insert) const;
+
   // Grows the region to `new_pages` (demand-zero). kEINVAL if shrinking.
+  // The table may move: an image region's resizer drains refills first.
   Status GrowTo(u64 new_pages);
 
   // Shrinks to `new_pages`, freeing the frames beyond. The caller must have
   // completed the TLB shootdown protocol FIRST (§6.2): no processor may
-  // hold a stale translation when the frames are freed.
+  // hold a stale translation when the frames are freed. As for GrowTo, an
+  // image region's resizer drains refills first.
   Status ShrinkTo(u64 new_pages);
 
   // Copy-on-write duplicate: the twin shares every present frame; both
@@ -144,8 +173,9 @@ class Region {
   // before the mapping is torn down.
   bool NeedsWriteBack() const { return source_ != nullptr && shared_mapping_; }
 
-  // Writes every dirty resident page of a shared file mapping back to the
-  // source and clears the dirty bits (msync / munmap).
+  // Writes every page of a shared file mapping written since it was mapped
+  // back to the source (msync / munmap). Dirty bits stay set: a writable
+  // translation stays cached, so a later store would not set one again.
   Status WriteBack();
 
   // Points this region's resident pages at `charge` (null to detach): the
@@ -190,17 +220,23 @@ class Region {
   static void LockForFault(std::mutex& mu);
   // Resolve under the PTE's stripe (held by the caller).
   Result<PageResolution> ResolveLocked(u64 idx, bool want_write);
+  // May a translation of a present page with word `w` allow writes? COW
+  // pages and clean pages of a writeback mapping map read-only, so the
+  // write that changes them faults.
+  bool Writable(u64 w) const {
+    return (w & Pte::kCow) == 0 && (!NeedsWriteBack() || (w & Pte::kDirty) != 0);
+  }
 
-  // Steals one page (caller holds its stripe, preconditions checked).
-  // Returns false if the swap device is full.
+  // Steals page `idx`, whose word is `w` (caller holds its stripe,
+  // preconditions checked). Returns false if the swap device is full.
   template <typename FlushFn>
-  bool StealOne(u64 idx, FlushFn&& flushed);
+  bool StealOne(u64 idx, u64 w, FlushFn&& flushed);
 
   PhysMem& mem_;
   RegionType type_;
   mutable std::array<Stripe, kStripes> stripes_;
-  // Each PTE is guarded by its stripe; the vector is resized only under
-  // every stripe.
+  // Each PTE is written under its stripe; the vector is resized only under
+  // every stripe, and an image region's only after its refills drain.
   std::vector<Pte> ptes_;
   // ptes_.size(), set at construction and stored under every stripe by
   // each resize (GrowTo, ShrinkTo), so pages() needs no lock.
@@ -231,23 +267,40 @@ Result<PageResolution> Region::Resolve(u64 idx, bool want_write, MapFn&& map) {
   return res;
 }
 
+template <typename InsertFn>
+bool Region::TryRefill(u64 idx, bool want_write, InsertFn&& insert) const {
+  if (idx >= ptes_.size()) {
+    return false;
+  }
+  const Pte& pte = ptes_[idx];
+  const u64 w = pte.load();
+  // An unreferenced page goes to Resolve, which sets its clock bit.
+  constexpr u64 kPresent = Pte::kValid | Pte::kReferenced;
+  if ((w & kPresent) != kPresent || (want_write && !Writable(w))) {
+    return false;
+  }
+  return insert(Pte::Pfn(w), Writable(w), [&pte, w] { return pte.load() == w; });
+}
+
 // ----- pager support (template bodies) -----
 
 template <typename FlushFn>
-bool Region::StealOne(u64 idx, FlushFn&& flushed) {
+bool Region::StealOne(u64 idx, u64 w, FlushFn&& flushed) {
   Pte& pte = ptes_[idx];
-  // The caller may still have writable translations of this page cached;
-  // invalidate them BEFORE copying the frame out, so no store lands after
-  // the copy. A racing accessor then misses, faults, and blocks on this
-  // PTE's stripe until we finish.
+  // Revoke first: the invalid word (dirty kept for WriteBack) lands before
+  // the flush, so a refill that read the old word either inserted before
+  // the flush, which drops it, or finds the word changed and falls back to
+  // Resolve, which waits on this stripe. The flush runs BEFORE the frame is
+  // copied out, so no store lands after the copy.
+  pte.store(w & Pte::kDirty);
   flushed(idx);
-  auto slot = mem_.swap_device()->WriteOut(mem_.FrameData(pte.pfn));
+  const pfn_t pfn = Pte::Pfn(w);
+  auto slot = mem_.swap_device()->WriteOut(mem_.FrameData(pfn));
   if (!slot.ok()) {
-    return false;  // swap device full
+    pte.store(w);  // swap device full: the page stays
+    return false;
   }
-  mem_.Unref(pte.pfn);
-  pte.pfn = 0;
-  pte.valid = false;
+  mem_.Unref(pfn);
   pte.swap_slot = slot.value();
   if (charge_ != nullptr) {
     // The steal shrank the group's resident set — this is how the pager
@@ -282,17 +335,18 @@ u64 Region::StealPages(u64 want, FlushFn&& flushed) {
     const u64 run_end = std::min(size, (idx / kRunPtes + 1) * kRunPtes);
     for (; idx < run_end && step < limit && stolen < want; ++idx, ++step) {
       Pte& pte = ptes_[idx];
-      if (!pte.valid || pte.cow) {
+      const u64 w = pte.load();
+      if ((w & Pte::kValid) == 0 || (w & Pte::kCow) != 0) {
         continue;  // absent, or the frame is COW-shared with another region
       }
-      if (pte.referenced) {
-        pte.referenced = false;  // second chance
+      if ((w & Pte::kReferenced) != 0) {
+        pte.store(w & ~Pte::kReferenced);  // second chance
         continue;
       }
-      if (mem_.RefCount(pte.pfn) != 1) {
+      if (mem_.RefCount(Pte::Pfn(w)) != 1) {
         continue;  // shared frame: no reverse map, so leave it alone
       }
-      if (!StealOne(idx, flushed)) {
+      if (!StealOne(idx, w, flushed)) {
         return stolen;  // swap full
       }
       ++stolen;

@@ -53,35 +53,41 @@ Result<vaddr_t> Sbrk(AddressSpace& as, i64 delta, u64 max_data_pages) SG_NO_THRE
   if (delta == 0) {
     return old_brk;
   }
+  u64 new_pages = 0;
   if (delta > 0) {
-    const u64 add = PagesFor(static_cast<u64>(delta));
-    const u64 new_pages = old_pages + add;
+    new_pages = old_pages + PagesFor(static_cast<u64>(delta));
     if (max_data_pages != 0 && new_pages > max_data_pages) {
       return Errno::kENOMEM;
     }
     if (data->base + new_pages * kPageSize > kPrdaBase) {
       return Errno::kENOMEM;  // data may not run into the PRDA
     }
-    SG_RETURN_IF_ERROR(data->region->GrowTo(new_pages));
-    return old_brk;
-  }
-  // Shrink: frames are about to be freed. §6.2 — synchronously flush every
-  // processor's TLB first, while holding the update lock. The seqcount
-  // bracket covers flush + free together: a lockless faulter that resolved
-  // a doomed page re-checks the count after its TLB insert, fails, and
-  // drops its own entry (DESIGN.md §4h).
-  const u64 sub = PagesFor(static_cast<u64>(-delta));
-  if (sub > old_pages) {
-    return Errno::kEINVAL;
-  }
-  if (ss != nullptr) {
-    SeqWriter w(ss->layout_seq());
-    ss->ShootdownAll();
-    SG_RETURN_IF_ERROR(data->region->ShrinkTo(old_pages - sub));
   } else {
-    as.tlb().FlushAll();
-    SG_RETURN_IF_ERROR(data->region->ShrinkTo(old_pages - sub));
+    const u64 sub = PagesFor(static_cast<u64>(-delta));
+    if (sub > old_pages) {
+      return Errno::kEINVAL;
+    }
+    new_pages = old_pages - sub;
   }
+  const bool shrink = new_pages < old_pages;
+  // A shrink frees frames: §6.2 — synchronously flush every processor's
+  // TLB first, while holding the update lock. Either resize may move the
+  // page table that lockless refills read, so both drain the epoch pins
+  // first. The seqcount bracket covers flush, drain and resize: a faulter
+  // that resolved a doomed page fails its re-check and drops its own
+  // entry, and one pinned after the drain finds the section open and never
+  // reads the table (DESIGN.md §4h).
+  std::optional<SeqWriter> w;
+  if (ss != nullptr) {
+    w.emplace(ss->layout_seq());
+    if (shrink) {
+      ss->ShootdownAll();
+    }
+    ss->AwaitQuiescent();
+  } else if (shrink) {
+    as.tlb().FlushAll();
+  }
+  SG_RETURN_IF_ERROR(shrink ? data->region->ShrinkTo(new_pages) : data->region->GrowTo(new_pages));
   return old_brk;
 }
 
@@ -159,7 +165,8 @@ void CopySharedImage(SharedSpace& ss, AddressSpace& as) {
   // still hold cached writable — or may be about to re-resolve through
   // the lockless fault path. The seqcount bracket spans marking + flush,
   // so a racing faulter that installed a writable entry off the
-  // pre-marking page table fails its re-check and undoes it.
+  // pre-marking page table fails its re-check and undoes it; a refill that
+  // read a pre-marking PTE word also lands before the flush or backs off.
   SeqWriter w(ss.layout_seq());
   for (const Pregion* pr : ss.locked_layout().pregions) {
     CopyPregion(*pr, as);

@@ -91,12 +91,22 @@ TEST(MmapFile, SharedMappingWritesBackOnMsyncAndMunmap) {
     env.Lseek(fd, 0);
     env.ReadBuf(fd, std::as_writable_bytes(std::span<u32>(w, 2)));
     EXPECT_EQ(w[1], 777u);
+    // A store after the msync, through the translation still cached
+    // writable, reaches the file at the next msync.
+    env.Store32(a + 4, 999);
+    ASSERT_EQ(env.Msync(a), 0);
+    env.Lseek(fd, 0);
+    env.ReadBuf(fd, std::as_writable_bytes(std::span<u32>(w, 2)));
+    EXPECT_EQ(w[1], 999u);
     // A second dirtying + munmap also writes back.
     env.Store32(a + 4 * 1500, 888);
     ASSERT_EQ(env.Munmap(a), 0);
     env.Lseek(fd, 4 * 1500);
     env.ReadBuf(fd, std::as_writable_bytes(std::span<u32>(w, 1)));
     EXPECT_EQ(w[0], 888u);
+    env.Lseek(fd, 0);
+    env.ReadBuf(fd, std::as_writable_bytes(std::span<u32>(w, 2)));
+    EXPECT_EQ(w[1], 999u);
   });
 }
 

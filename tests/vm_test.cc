@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "hw/swap.h"
+#include "hw/tlb.h"
 #include "obs/stats.h"
 #include "sync/seqcount.h"
 #include "vm/access.h"
@@ -224,6 +225,53 @@ TEST(Region, GrowWaitsForAFaulterParkedOnAnyStripe) {
     grow.join();
     EXPECT_TRUE(grown.load());
   }
+}
+
+// A present page refills with no stripe: TryRefill reads the PTE word and
+// Tlb::InsertIf installs the translation only if the word is unchanged under
+// the TLB lock. In each test a revoking writer lands between the read and
+// the insert, which must back off; a refill with no writer in between is the
+// control.
+TEST(Region, RefillBacksOffWhenAStealLandsBeforeItsInsert) {
+  PhysMem mem(8 * kPageSize);
+  SwapSpace swap(8);
+  mem.AttachSwap(&swap);
+  auto r = Region::Alloc(mem, RegionType::kAnon, 1);
+  ASSERT_TRUE(r->Resolve(0, true, [](const PageResolution&) {}).ok());
+  Tlb tlb;
+  auto insert = [&](pfn_t pfn, bool writable, auto&& unchanged) {
+    return tlb.InsertIf(0, pfn, writable, unchanged);
+  };
+  ASSERT_TRUE(r->TryRefill(0, false, insert));
+  ASSERT_EQ(tlb.Probe(0, false).kind, TlbProbe::Kind::kHit);
+  tlb.FlushAll();
+  u64 stolen = 0;
+  EXPECT_FALSE(r->TryRefill(0, false, [&](pfn_t pfn, bool writable, auto&& unchanged) {
+    stolen = r->StealPages(1, [&](u64 idx) { tlb.FlushPage(idx); });
+    return insert(pfn, writable, unchanged);
+  }));
+  EXPECT_EQ(stolen, 1u);
+  EXPECT_EQ(tlb.Probe(0, false).kind, TlbProbe::Kind::kMiss);
+}
+
+TEST(Region, RefillBacksOffWhenACowMarkLandsBeforeItsInsert) {
+  PhysMem mem(8 * kPageSize);
+  auto r = Region::Alloc(mem, RegionType::kAnon, 1);
+  ASSERT_TRUE(r->Resolve(0, true, [](const PageResolution&) {}).ok());
+  Tlb tlb;
+  auto insert = [&](pfn_t pfn, bool writable, auto&& unchanged) {
+    return tlb.InsertIf(0, pfn, writable, unchanged);
+  };
+  ASSERT_TRUE(r->TryRefill(0, true, insert));
+  ASSERT_EQ(tlb.Probe(0, true).kind, TlbProbe::Kind::kHit);
+  tlb.FlushAll();
+  std::shared_ptr<Region> twin;
+  EXPECT_FALSE(r->TryRefill(0, true, [&](pfn_t pfn, bool writable, auto&& unchanged) {
+    twin = r->DupCow();
+    return insert(pfn, writable, unchanged);
+  }));
+  EXPECT_NE(twin, nullptr);
+  EXPECT_NE(tlb.Probe(0, true).kind, TlbProbe::Kind::kHit);
 }
 
 TEST(VaAllocator, UpDownAndReserve) {
@@ -457,6 +505,48 @@ TEST(VmOps, ForkDuplicationSharesTextCowsData) {
   EXPECT_EQ(Load<u32>(child, kDataBase).value(), 41u);
   ASSERT_TRUE(Store<u32>(child, kDataBase, 42).ok());
   EXPECT_EQ(Load<u32>(f.as, kDataBase).value(), 41u);
+}
+
+// A shared sbrk may move the data region's page table, which lockless
+// refills read under an epoch pin, so it drains the pins before it resizes.
+TEST(VmOps, SharedSbrkGrowWaitsForAPinnedReader) {
+  PhysMem mem(16 * kPageSize);
+  CpuSet cpus(2);
+  SharedSpace ss(cpus);
+  AddressSpace as(mem);
+  as.set_shared(&ss);
+  {
+    UpdateGuard g(ss.lock());
+    ss.AddMemberTlb(&as.tlb());
+    ss.AttachPregion(std::make_unique<Pregion>(Region::Alloc(mem, RegionType::kData, 1),
+                                               kDataBase, kProtRw));
+  }
+  std::atomic<bool> pinned{false};
+  std::atomic<bool> unpin{false};
+  std::thread reader([&] {
+    SharedSpace::EpochGuard pin(ss);
+    pinned = true;
+    while (!unpin) {
+      std::this_thread::yield();
+    }
+  });
+  while (!pinned) {
+    std::this_thread::yield();
+  }
+  std::atomic<bool> grown{false};
+  Result<vaddr_t> old_brk = Errno::kEFAULT;
+  std::thread grow([&] {
+    old_brk = Sbrk(as, static_cast<i64>(kPageSize));
+    grown = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(grown.load()) << "the grow did not wait for the pinned reader";
+  unpin = true;
+  reader.join();
+  grow.join();
+  ASSERT_TRUE(old_brk.ok());
+  EXPECT_EQ(old_brk.value(), kDataBase + kPageSize);
+  EXPECT_EQ(Sbrk(as, 0).value(), kDataBase + 2 * kPageSize);
 }
 
 TEST(VmOps, OutOfFramesSurfacesEnomem) {

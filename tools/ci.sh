@@ -8,8 +8,8 @@
 #   default  — RelWithDebInfo, full test suite (includes the sgcheck
 #              self-test and the sgcheck run over the repo itself)
 #   tsan     — ThreadSanitizer, sync/core/VM-focused suite (file-backed
-#              mappings included: their faults insert under the region lock
-#              that inode reads and writeback hold), every BlockOn
+#              mappings included: their faults resolve under a page-table
+#              stripe that inode reads and writeback hold), every BlockOn
 #              sleeper's suite: pipes, SysV IPC, wait/pause/sigpause and
 #              PR_BLOCKGROUP, and the fair-share and scheduler suites
 #              (rm_test, sched_test) whose members charge a group's CPU

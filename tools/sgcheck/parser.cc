@@ -159,6 +159,7 @@ struct StructureScanner {
           return;  // let ScanScope see it ("}" inside parens is brace-init)
         } else if (t.text == "{" && pdepth <= 0) {
           if (BraceIsInitializer(head)) {
+            if (!in_class) RecordTable(head, i);
             i = MatchBrace(f, i);
             if (i < n) ++i;  // past '}'
             continue;        // keep reading the head (e.g. " = {0} ;")
@@ -374,6 +375,59 @@ struct StructureScanner {
     if (!ret.empty() && !name.empty()) prog.accessor_types[name] = ret;
   }
 
+  // Parameter names: the last identifier of each top-level segment of the
+  // parameter list opening at head[paren], before any default argument.
+  std::vector<std::string> Params(const std::vector<size_t>& head, size_t paren) const {
+    std::vector<std::string> out;
+    std::string last;
+    bool in_default = false;
+    int pd = 0;
+    for (size_t k = paren + 1; k < head.size(); ++k) {
+      const Token& t = T(f, head[k]);
+      if (t.kind == Tok::kPunct) {
+        if (t.text == "(" || t.text == "[" || t.text == "{" || t.text == "<") ++pd;
+        if (t.text == ")" || t.text == "]" || t.text == "}" || t.text == ">") --pd;
+        if (pd < 0 || (pd == 0 && t.text == ",")) {
+          if (!last.empty() && last != "void") out.push_back(last);
+          last.clear();
+          in_default = false;
+          if (pd < 0) break;
+        } else if (pd == 0 && t.text == "=") {
+          in_default = true;
+        }
+      } else if (t.kind == Tok::kIdent && pd == 0 && !in_default) {
+        last = t.text;
+      }
+    }
+    return out;
+  }
+
+  // A namespace-scope initializer ("Row kTable[] = { ... };") whose braces
+  // hold lambdas is walked like a body, so R1 sees the calls they make.
+  void RecordTable(const std::vector<size_t>& head, size_t open) {
+    std::string name;
+    for (size_t h : head) {
+      if (IsP(f, h, "[") || IsP(f, h, "=")) break;
+      if (IsIdent(f, h)) name = T(f, h).text;
+    }
+    const size_t close = MatchBrace(f, open);
+    bool lambda = false;
+    for (size_t k = open; k + 1 < close && !lambda; ++k) {
+      lambda = IsP(f, k, "]") && IsP(f, k + 1, "(");
+    }
+    if (name.empty() || !lambda) return;
+    FunctionInfo fn;
+    fn.name = name;
+    fn.qual = name;
+    fn.file = f.path;
+    fn.line = T(f, open).line;
+    fn.file_idx = file_idx;
+    fn.body_begin = open + 1;
+    fn.body_end = close;
+    fn.table = true;
+    prog.funcs.push_back(std::move(fn));
+  }
+
   void RecordFunction(const std::vector<size_t>& head, size_t& i,
                       const std::vector<std::string>& cls) {
     const size_t n = f.sig.size();
@@ -415,6 +469,7 @@ struct StructureScanner {
       fn.body_end = body_close;
       CollectRequires(head, &fn.requires_args);
       if (!fn.requires_args.empty()) prog.method_requires[qual] = fn.requires_args;
+      if (paren < head.size()) fn.params = Params(head, paren);
       MaybeRecordAccessor(head, paren, name);
       prog.funcs.push_back(std::move(fn));
     }
@@ -567,6 +622,7 @@ struct ActiveCtx {
 };
 
 struct ScopeFrame {
+  std::string lambda_of;  // the call this brace opens an argument of, if any
   std::vector<ActiveCtx> ctxs;
   std::map<std::string, std::string> locals;   // name -> type_last
   std::set<std::string> tracked;               // epoch-derived pointers (R2)
@@ -577,6 +633,8 @@ struct BodyWalker {
   SourceFile& f;
   FunctionInfo& fn;
   std::vector<ScopeFrame> sc;
+  // Calls whose argument lists are open: callee and the closing ')'.
+  std::vector<std::pair<std::string, size_t>> open_args;
 
   unsigned CurMask() const {
     unsigned m = 0;
@@ -600,6 +658,17 @@ struct BodyWalker {
   std::string CtxDesc() const {
     const ActiveCtx* c = InnermostOpen();
     return c == nullptr ? "no-sleep section" : c->desc;
+  }
+
+  std::string LambdaOf() const {
+    for (auto s = sc.rbegin(); s != sc.rend(); ++s) {
+      if (!s->lambda_of.empty()) return s->lambda_of;
+    }
+    return fn.table ? fn.name : "";
+  }
+
+  CallSite Site(const std::string& callee, int line) const {
+    return CallSite{callee, line, CurMask(), CtxDesc(), LambdaOf(), {}};
   }
 
   int EpochScope() const {
@@ -768,7 +837,7 @@ struct BodyWalker {
         type_last == "lock_guard" || type_last == "unique_lock" ||
         type_last == "scoped_lock") {
       const char* via = type_last == "UpdateGuard" ? "AcquireUpdate" : "MutexLock";
-      fn.calls.push_back(CallSite{via, line, CurMask(), CtxDesc()});
+      fn.calls.push_back(Site(via, line));
     }
     if (EpochScope() >= 0 && saw_ptr &&
         (type_last == "LayoutSnapshot" || type_last == "Pregion")) {
@@ -918,10 +987,12 @@ struct BodyWalker {
 
     bool stmt_start = true;
     for (size_t j = fn.body_begin; j < end;) {
+      while (!open_args.empty() && j > open_args.back().second) open_args.pop_back();
       const Token& t = T(f, j);
       if (t.kind == Tok::kPunct) {
         if (t.text == "{") {
           sc.push_back(ScopeFrame{});
+          if (!open_args.empty()) sc.back().lambda_of = open_args.back().first;
           stmt_start = true;
           ++j;
           continue;
@@ -961,6 +1032,20 @@ struct BodyWalker {
     if (kStmtKeywords.count(callee) || IsMacroName(callee)) return;
     const int line = T(f, j).line;
     const bool member = j > 0 && (IsP(f, j - 1, ".") || IsP(f, j - 1, "->"));
+    // The argument list, and its arguments that are one identifier.
+    std::vector<std::string> args;
+    size_t close = j + 1;
+    for (int pd = 0; close < fn.body_end; ++close) {
+      if (IsP(f, close, "(") || IsP(f, close, "[") || IsP(f, close, "{")) ++pd;
+      if (IsP(f, close, ")") || IsP(f, close, "]") || IsP(f, close, "}")) {
+        if (--pd == 0) break;
+      }
+      if (pd == 1 && IsIdent(f, close) && (IsP(f, close - 1, "(") || IsP(f, close - 1, ",")) &&
+          (IsP(f, close + 1, ")") || IsP(f, close + 1, ","))) {
+        args.push_back(T(f, close).text);
+      }
+    }
+    open_args.emplace_back(callee, close);
     std::string rname, rtype;
     if (member) Receiver(j, &rname, &rtype);
 
@@ -1017,7 +1102,7 @@ struct BodyWalker {
     // Context transitions on explicit acquire/release pairs.
     if (member) {
       if (callee == "Lock" && RecvIs(rname, rtype, "Spinlock")) {
-        fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+        fn.calls.push_back(Site(callee, line));
         OpenCtx(kCtxSpin, rname, line,
                 "spinlock-held section ('" + rname + "'.Lock() at line " +
                     std::to_string(line) + ")");
@@ -1025,11 +1110,11 @@ struct BodyWalker {
       }
       if (callee == "Unlock" && RecvIs(rname, rtype, "Spinlock")) {
         CloseCtx(kCtxSpin, rname);
-        fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+        fn.calls.push_back(Site(callee, line));
         return;
       }
       if (callee == "WriteBegin" && RecvIs(rname, rtype, "SeqCount")) {
-        fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+        fn.calls.push_back(Site(callee, line));
         OpenCtx(kCtxSeqWrite, rname, line,
                 "seqcount write section ('" + rname + "'.WriteBegin() at line " +
                     std::to_string(line) + ")");
@@ -1037,11 +1122,11 @@ struct BodyWalker {
       }
       if (callee == "WriteEnd" && RecvIs(rname, rtype, "SeqCount")) {
         CloseCtx(kCtxSeqWrite, rname);
-        fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+        fn.calls.push_back(Site(callee, line));
         return;
       }
       if (callee == "TryReadBegin" && RecvIs(rname, rtype, "SeqCount")) {
-        fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+        fn.calls.push_back(Site(callee, line));
         OpenCtx(kCtxSeqRead, rname, line,
                 "seqcount read window ('" + rname + "'.TryReadBegin() at line " +
                     std::to_string(line) + ")");
@@ -1049,11 +1134,12 @@ struct BodyWalker {
       }
       if (callee == "ReadValidate" && RecvIs(rname, rtype, "SeqCount")) {
         CloseCtx(kCtxSeqRead, rname);
-        fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+        fn.calls.push_back(Site(callee, line));
         return;
       }
     }
-    fn.calls.push_back(CallSite{callee, line, CurMask(), CtxDesc()});
+    fn.calls.push_back(Site(callee, line));
+    fn.calls.back().args = std::move(args);
   }
 };
 
@@ -1062,7 +1148,7 @@ struct BodyWalker {
 void WalkBodies(Program& prog, int file_idx) {
   for (FunctionInfo& fn : prog.funcs) {
     if (fn.file_idx != file_idx || fn.body_begin >= fn.body_end) continue;
-    BodyWalker w{prog, prog.files[file_idx], fn, {}};
+    BodyWalker w{prog, prog.files[file_idx], fn, {}, {}};
     w.sc.push_back(ScopeFrame{});
     w.Walk();
   }

@@ -19,7 +19,10 @@
 // branches leave the remainder of the function unchecked (prefer RAII
 // guards, which track scope exactly); calls through function pointers,
 // templates instantiated with callable parameters, and virtual dispatch
-// resolve by name only.
+// resolve by name only. So each call site also records the call whose
+// lambda argument encloses it, or the namespace-scope table whose
+// initializer does, and its bare-identifier arguments: R1 resolves callables
+// run under a lock from those (rules.cc).
 #ifndef TOOLS_SGCHECK_PARSER_H_
 #define TOOLS_SGCHECK_PARSER_H_
 
@@ -52,6 +55,8 @@ struct CallSite {
   int line = 0;
   unsigned ctx = 0;      // contexts open at the call
   std::string ctx_desc;  // e.g. "spinlock 'acclck_' held since line 12"
+  std::string lambda_of;  // call (or table) whose lambda encloses this call
+  std::vector<std::string> args;  // arguments that are one bare identifier
 };
 
 struct FieldInfo {
@@ -81,6 +86,8 @@ struct FunctionInfo {
   int file_idx = -1;
   size_t body_begin = 0, body_end = 0;  // sig-token index range of the body
   std::vector<std::string> requires_args;  // SG_REQUIRES(...) idents from the head
+  std::vector<std::string> params;         // parameter names
+  bool table = false;  // a namespace-scope initializer holding lambdas, not a function
   std::vector<CallSite> calls;
 
   // Filled by the sleep-in-atomic fixpoint in rules.cc.

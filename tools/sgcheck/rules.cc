@@ -26,6 +26,21 @@ const std::set<std::string> kBlockingRoots = {
     "AwaitQuiescent",  "WriteBack",     "MutexLock",
 };
 
+// Callables that run under a spinlock no guard around them shows, so name
+// resolution cannot see it: the kSyncTable rows' copy functions, which
+// PullScalar and UpdateScalar call under rupdlock_, and a lambda passed to
+// UpdateScalar, which runs it there. A function that passes a parameter of
+// its own on to one of these joins them (ChangeScalar forwards its callable
+// to UpdateScalar).
+struct LockedCallable {
+  std::string lock;
+  std::string what;
+};
+const std::map<std::string, LockedCallable> kLockedCallables = {
+    {"kSyncTable", {"rupdlock_", "a kSyncTable row's copy function"}},
+    {"UpdateScalar", {"rupdlock_", "a lambda passed to UpdateScalar"}},
+};
+
 bool StartsWith(const std::string& s, const char* pre) {
   return s.rfind(pre, 0) == 0;
 }
@@ -169,14 +184,42 @@ void SleepInAtomic(Program& prog, std::vector<Diag>& out) {
     return chain;
   };
 
+  // Forwarders of a locked callable, to a fixpoint.
+  std::map<std::string, LockedCallable> locked = kLockedCallables;
+  for (changed = true; changed;) {
+    changed = false;
+    for (const FunctionInfo& fn : prog.funcs) {
+      if (locked.count(fn.name)) continue;
+      for (const CallSite& c : fn.calls) {
+        auto it = locked.find(c.callee);
+        if (it == locked.end()) continue;
+        const bool forwards = std::any_of(c.args.begin(), c.args.end(), [&](const std::string& a) {
+          return std::find(fn.params.begin(), fn.params.end(), a) != fn.params.end();
+        });
+        if (forwards) {
+          locked[fn.name] = {it->second.lock, "a lambda passed to " + fn.name +
+                                                  ", which hands it to " + c.callee};
+          changed = true;
+          break;
+        }
+      }
+    }
+  }
+
   // R1 regions per the protocol: spinlock held, seqcount read window,
   // epoch pin. A seqcount WRITE section may sleep (readers fail validation
   // and take the lock path — a latency cost, not a correctness one), so it
-  // is bracket-checked by R3 but not sleep-checked here.
+  // is bracket-checked by R3 but not sleep-checked here. A call inside a
+  // locked callable runs with its lock held.
   constexpr unsigned kR1Mask = kCtxSpin | kCtxSeqRead | kCtxEpoch;
   for (const FunctionInfo& fn : prog.funcs) {
     if (!prog.files[fn.file_idx].full) continue;
-    for (const CallSite& c : fn.calls) {
+    for (CallSite c : fn.calls) {
+      if (auto it = locked.find(c.lambda_of); it != locked.end() && (c.ctx & kR1Mask) == 0) {
+        c.ctx |= kCtxSpin;
+        c.ctx_desc = "spinlock-held section (" + it->second.what + ", run under '" +
+                     it->second.lock + "')";
+      }
       if ((c.ctx & kR1Mask) == 0) continue;
       bool blocks = kBlockingRoots.count(c.callee) > 0;
       if (!blocks) {

@@ -110,4 +110,65 @@ class EpochUser {
   int touched_ = 0;
 };
 
+// Callables run under a lock no guard around them shows: a table row's copy
+// function, which PullScalar runs under rupdlock_, and a lambda handed to
+// UpdateScalar, directly or through a forwarder.
+struct Proc {
+  int mask = 0;
+};
+
+struct SyncRow {
+  void (*to_member)(Proc&);
+};
+
+const SyncRow kSyncTable[2] = {
+    // NEGATIVE: the row copies a field.
+    {[](Proc& p) { p.mask = 1; }},
+    // VIOLATION: the row sleeps under rupdlock_.
+    {[](Proc& p) { Sleeper::DoSleep(); }},
+};
+
+class Block {
+ public:
+  void PullScalar(Proc& p, int r) {
+    SpinGuard g(rupdlock_);
+    kSyncTable[r].to_member(p);
+  }
+
+  template <typename Fn>
+  void UpdateScalar(Proc& p, Fn&& change) {
+    SpinGuard g(rupdlock_);
+    change(p);
+  }
+
+  template <typename Fn>
+  void ChangeScalar(Proc& p, Fn&& change) {
+    UpdateScalar(p, change);
+  }
+
+  // NEGATIVE: the lambda only writes the member's copy.
+  void SetMask(Proc& p) {
+    UpdateScalar(p, [](Proc& q) { q.mask = 2; });
+  }
+
+  // VIOLATION: the lambda sleeps under rupdlock_.
+  void SetDir(Proc& p) {
+    UpdateScalar(p, [](Proc& q) { Sleeper::DoSleep(); });
+  }
+
+  // VIOLATION: the same, through a forwarder.
+  void SetDirForwarded(Proc& p) {
+    ChangeScalar(p, [](Proc& q) { Sleeper::DoSleep(); });
+  }
+
+  // NEGATIVE: an argument computed before the call runs unlocked.
+  void SetMaskFrom(Proc& p) {
+    UpdateScalar(p, Pick(sem_.P()));
+  }
+
+ private:
+  Spinlock rupdlock_;
+  Semaphore sem_;
+};
+
 }  // namespace fix
